@@ -1,19 +1,26 @@
 //! Self-timing hot-path micro-benchmarks → `BENCH_hotpaths.json`.
 //!
-//! Measures the three optimizations of the hot-path pass, each against
-//! the retained reference implementation it replaced:
+//! Measures each hot-path optimization against the retained reference
+//! implementation it replaced:
 //!
 //! 1. `gf128_mul` — GHASH-style GF(2^128) fold: bit-at-a-time
-//!    `Gf128::mul_bitwise` vs the per-key 4-bit table (`GfMulTable`).
-//! 2. `compcpy_page_copy` — CompCpy's copy step through a
+//!    `Gf128::mul_bitwise` vs the table-free carry-less multiply (`*`).
+//! 2. `aes_block` — AES-128 over a page of counter blocks: byte-wise
+//!    FIPS-197 rounds (`Aes::encrypt_block_ref`) vs the T-table cipher
+//!    (`Aes::encrypt_block`).
+//! 3. `ooo_gcm_4k` — one partial TLS DSA engine (§V-D) registering a
+//!    4 KB page and absorbing its 64 cachelines: one power of `H` per
+//!    16 B block (the former 258-entry `HPowers` table) vs one power per
+//!    cacheline (`OooGcm`), both on the current AES and multiply.
+//! 4. `compcpy_page_copy` — CompCpy's copy step through a
 //!    SmartDIMM-backed memory system: per-line loads/stores vs the
 //!    batched whole-page path (one buffer-device interception and one
 //!    translation probe per 4 KB page).
-//! 3. `lz77_match_finder` — LZ77 tokenization: linear window scan
+//! 5. `lz77_match_finder` — LZ77 tokenization: linear window scan
 //!    (`tokenize_linear`) vs the hash-chain matcher (`tokenize`).
-//! 4. `dram_backend_whole_sim` — the 4-channel run_report sweep on the
+//! 6. `dram_backend_whole_sim` — the 4-channel run_report sweep on the
 //!    cycle-accurate FR-FCFS backend vs the fast fixed-latency tier.
-//! 5. `whole_sim_parallel` — the same sweep's independent entries run
+//! 7. `whole_sim_parallel` — the same sweep's independent entries run
 //!    back to back vs fanned out on a 4-worker `simkit::par` pool.
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
@@ -24,7 +31,11 @@
 //!   clobbers the committed full-mode numbers,
 //! * `full` — the committed numbers at `BENCH_hotpaths.json` (default),
 //! * `check` — parse-validate the committed `BENCH_hotpaths.json` and
-//!   exit non-zero if missing or malformed (used by `ci.sh`).
+//!   exit non-zero if it is missing, malformed, or lacks a row (used by
+//!   `ci.sh`).
+//!
+//! Every report records the host's `nproc`: the whole-simulation rows
+//! depend on it.
 
 use bench::harness::{json_parses, median_ns_per_op, report, BenchSpec, HotPath};
 use cache::CacheConfig;
@@ -33,7 +44,20 @@ use simkit::DetRng;
 use smartdimm::{CompCpyHost, HostConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use ulp_crypto::gf128::{Gf128, GfMulTable};
+use ulp_crypto::aes::Aes;
+use ulp_crypto::gcm::{AesGcm, Direction, OooGcm, CACHELINE};
+use ulp_crypto::gf128::Gf128;
+
+/// Rows `check` mode requires in the committed report.
+const REQUIRED_ROWS: [&str; 7] = [
+    "gf128_mul",
+    "aes_block",
+    "ooo_gcm_4k",
+    "compcpy_page_copy",
+    "lz77_match_finder",
+    "dram_backend_whole_sim",
+    "whole_sim_parallel",
+];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -61,23 +85,111 @@ fn bench_gf128(spec: BenchSpec, blocks: usize) -> HotPath {
         assert_ne!(y, Gf128::ZERO);
     });
     let after = median_ns_per_op(spec, || {
-        let table = GfMulTable::new(h); // once per key, as in GHASH
         let mut y = Gf128::ZERO;
         for &b in &data {
-            y = table.mul(y + b);
+            y = (y + b) * h;
         }
         assert_ne!(y, Gf128::ZERO);
     });
     HotPath {
         name: "gf128_mul",
         before_impl: "Gf128::mul_bitwise (bit-at-a-time, SP 800-38D reference)",
-        after_impl: "GfMulTable (per-key 4-bit tables, 32-step nibble Horner)",
+        after_impl: "Gf128 * Gf128 (table-free masked-multiply Karatsuba + reduction)",
         work_units: format!(
             "GHASH fold over {blocks} blocks ({} KB)",
             blocks * 16 / 1024
         ),
         before_ns_per_op: before,
         after_ns_per_op: after,
+    }
+}
+
+fn bench_aes(spec: BenchSpec, blocks: usize) -> HotPath {
+    let aes = Aes::new_128(&[0x2b; 16]);
+    let counters: Vec<[u8; 16]> = (0..blocks as u128).map(|i| i.to_be_bytes()).collect();
+    let run = |encrypt: fn(&Aes, &[u8; 16]) -> [u8; 16]| {
+        median_ns_per_op(spec, || {
+            let mut x = 0u8;
+            for c in &counters {
+                x ^= encrypt(&aes, c)[0];
+            }
+            std::hint::black_box(x);
+        })
+    };
+    HotPath {
+        name: "aes_block",
+        before_impl: "Aes::encrypt_block_ref (byte-wise FIPS-197 rounds)",
+        after_impl: "Aes::encrypt_block (compile-time T-tables, u32 round keys)",
+        work_units: format!(
+            "AES-128 over {blocks} counter blocks ({} KB of keystream)",
+            blocks * 16 / 1024
+        ),
+        before_ns_per_op: run(Aes::encrypt_block_ref),
+        after_ns_per_op: run(Aes::encrypt_block),
+    }
+}
+
+/// The partial TLS engine as it ran with one power of `H` per 16 B
+/// block: registration builds `H^1 ..= H^(blocks + 1)` by repeated
+/// multiplication, and each ciphertext block multiplies by its own
+/// power. Same keystream, same multiply as [`OooGcm`]; returns the
+/// partial GHASH accumulator.
+fn per_block_powers_engine(gcm: &AesGcm, iv: &[u8; 12], msg: &[u8]) -> [u8; 16] {
+    let h = gcm.hash_subkey();
+    let total = msg.len().div_ceil(16) + 1;
+    let mut powers = Vec::with_capacity(total); // powers[i] = H^(i+1)
+    let mut p = h;
+    for _ in 0..total {
+        powers.push(p);
+        p = p * h;
+    }
+    let mut acc = Gf128::ZERO;
+    for (line, chunk) in msg.chunks(CACHELINE).enumerate() {
+        let mut ct = chunk.to_vec();
+        gcm.xor_keystream(iv, line * CACHELINE, &mut ct);
+        for (k, block) in ct.chunks(16).enumerate() {
+            let mut b = [0u8; 16];
+            b[..block.len()].copy_from_slice(block);
+            acc = acc + Gf128::from_bytes(&b) * powers[total - 1 - (line * 4 + k)];
+        }
+    }
+    acc.to_bytes()
+}
+
+fn bench_ooo_gcm(spec: BenchSpec) -> HotPath {
+    let gcm = AesGcm::new_128(&[0x42; 16]);
+    let iv = [7u8; 12];
+    let msg = ulp_compress::corpus::text(4096, 3);
+    let new_engine = || {
+        let mut dsa = OooGcm::with_metadata_policy(
+            gcm.clone(),
+            iv,
+            b"",
+            msg.len(),
+            Direction::Encrypt,
+            false,
+        );
+        for (line, chunk) in msg.chunks(CACHELINE).enumerate() {
+            std::hint::black_box(dsa.process_cacheline(line * CACHELINE, chunk));
+        }
+        dsa.partial_ghash()
+    };
+    assert_eq!(
+        per_block_powers_engine(&gcm, &iv, &msg),
+        new_engine(),
+        "both engines must produce the same partial GHASH"
+    );
+    HotPath {
+        name: "ooo_gcm_4k",
+        before_impl: "one power of H per 16 B block (258-entry HPowers-style table)",
+        after_impl: "OooGcm: Horner per cacheline + one of 64 per-line powers",
+        work_units: "partial TLS engine: register a 4 KB page + 64 cachelines".into(),
+        before_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(per_block_powers_engine(&gcm, &iv, &msg));
+        }),
+        after_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(new_engine());
+        }),
     }
 }
 
@@ -259,7 +371,15 @@ fn main() -> ExitCode {
     if mode == "check" {
         return match std::fs::read_to_string(&out_path) {
             Ok(s) if json_parses(&s) && s.contains("bench_hotpaths/v1") => {
-                println!("[ok] {} parses", out_path.display());
+                let missing: Vec<&str> = REQUIRED_ROWS
+                    .into_iter()
+                    .filter(|row| !s.contains(&format!("\"name\": \"{row}\"")))
+                    .collect();
+                if !missing.is_empty() {
+                    eprintln!("[err] {} lacks rows {missing:?}", out_path.display());
+                    return ExitCode::FAILURE;
+                }
+                println!("[ok] {} parses and has every row", out_path.display());
                 ExitCode::SUCCESS
             }
             Ok(_) => {
@@ -292,6 +412,8 @@ fn main() -> ExitCode {
     println!("hot-path benchmarks ({mode} mode)");
     let paths = vec![
         bench_gf128(spec, gf_blocks),
+        bench_aes(spec, gf_blocks),
+        bench_ooo_gcm(spec),
         bench_compcpy(spec, pages),
         bench_lz77(spec, lz_len),
         bench_backend_sweep(spec, sweep_scale.0, sweep_scale.1),

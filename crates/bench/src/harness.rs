@@ -98,11 +98,12 @@ impl HotPath {
     }
 }
 
-/// Renders the full report document.
+/// Renders the full report document, stamped with the host's `nproc`.
 pub fn report(mode: &str, spec: BenchSpec, paths: &[HotPath]) -> Json {
     Json::Obj(vec![
         ("schema".into(), "bench_hotpaths/v1".into()),
         ("mode".into(), mode.into()),
+        ("nproc".into(), simkit::par::host_threads().into()),
         (
             "spec".into(),
             Json::Obj(vec![

@@ -151,6 +151,13 @@ pub fn configured_threads(requested: usize) -> usize {
     }
 }
 
+/// Hardware threads available to this process (`nproc`), for stamping
+/// wall-clock reports with the host they ran on. Never feeds simulated
+/// state.
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Scheduler-dependent observables of one [`run_indexed`] call.
 ///
 /// These numbers vary with thread count and OS scheduling; they exist

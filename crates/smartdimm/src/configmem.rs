@@ -15,8 +15,9 @@
 //! The context for one TLS offload (key, IV, AAD, length) fits one MMIO
 //! write, matching the paper's single-64-byte-registration claim; the
 //! precomputed powers of H that the paper also stores in Config Memory
-//! are generated device-side by the GF multiplier as soon as the
-//! registration lands (see `ulp_crypto::ghash::HPowers`).
+//! — one per 64-byte cacheline — are generated device-side by the GF
+//! multiplier as soon as the registration lands (see
+//! `ulp_crypto::ghash::OooGhash`).
 
 /// Read-only status register offset.
 pub const STATUS_OFFSET: u64 = 0x000;

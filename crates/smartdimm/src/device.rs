@@ -1269,6 +1269,34 @@ mod tests {
     }
 
     #[test]
+    fn multi_page_compress_context_is_rejected_not_a_panic() {
+        // Regression: a raw CONTEXT + REGISTER write of a Compress
+        // offload longer than a page reached the page-granular DSA's
+        // assertion. Host-controlled MMIO input must be rejected with a
+        // counted failure and no offload state.
+        let mut dev = SmartDimmDevice::new(SmartDimmConfig::default());
+        let base = dev.cfg.config_base.0;
+        let chunk = ContextChunk {
+            offload_id: 3,
+            payload: OffloadOp::Compress.encode_context(8192, b""),
+        };
+        let info = prepare(&mut dev, PhysAddr(base + CONTEXT_OFFSET));
+        assert_eq!(dev.on_wr_cas(&info, &chunk.to_bytes()), WrResult::Ignore);
+        let reg = Registration {
+            offload_id: 3,
+            src_page_addr: 0x10000,
+            dst_page_addr: 0x20000,
+            msg_offset: 0,
+        };
+        let info = prepare(&mut dev, PhysAddr(base + REGISTER_OFFSET));
+        assert_eq!(dev.on_wr_cas(&info, &reg.to_bytes()), WrResult::Ignore);
+        assert_eq!(dev.stats().registrations, 1);
+        assert_eq!(dev.stats().xlat_failures, 1);
+        assert!(dev.offloads.is_empty());
+        assert_eq!(dev.free_pages(), 2048);
+    }
+
+    #[test]
     fn activate_on_open_bank_counts_desync() {
         // Regression: an activate on an already-open bank (the
         // controller issued an implicit precharge the device never saw)

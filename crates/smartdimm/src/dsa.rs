@@ -14,6 +14,7 @@ use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig};
 use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 
 use crate::configmem::OffloadStatus;
+use crate::PAGE;
 
 /// Copies `N` bytes out of the context payload starting at `at`,
 /// without any panicking slice/array conversion.
@@ -110,8 +111,9 @@ impl OffloadOp {
     }
 
     /// Full context decoding including the Compute-DMA flag. Returns
-    /// `None` for a malformed payload: the device must reject a corrupt
-    /// MMIO context write, not fault on it.
+    /// `None` for a malformed payload (unknown op byte, oversized AAD
+    /// length, or a (de)compression length above one page): the device
+    /// must reject a corrupt MMIO context write, not fault on it.
     pub fn decode_context_full(p: &[u8; 48]) -> Option<(OffloadOp, usize, Vec<u8>, bool, bool)> {
         let dma_input = p[46] != 0;
         let absorb_metadata = p[45] != 0;
@@ -131,9 +133,10 @@ impl OffloadOp {
                     OffloadOp::TlsDecrypt { key, iv }
                 }
             }
-            2 => OffloadOp::Compress,
-            3 => OffloadOp::Decompress,
-            _ => return None, // unknown offload op
+            // The (de)compression engines are page-granular (§V-C).
+            2 if msg_len <= PAGE => OffloadOp::Compress,
+            3 if msg_len <= PAGE => OffloadOp::Decompress,
+            _ => return None, // unknown offload op, or an oversized page
         };
         Some((op, msg_len, aad, absorb_metadata, dma_input))
     }
@@ -177,8 +180,9 @@ pub struct DsaCompletion {
 
 /// A live DSA engine bound to one offload.
 pub enum DsaInstance {
-    /// AES-GCM, out-of-order per cacheline.
-    Tls(OooGcm),
+    /// AES-GCM, out-of-order per cacheline (boxed: the engine carries
+    /// its expanded key schedule inline).
+    Tls(Box<OooGcm>),
     /// Deflate compression: buffers the page, then compresses.
     Compress(StreamBuf),
     /// Deflate decompression: buffers the compressed page, then inflates.
@@ -259,29 +263,25 @@ impl DsaInstance {
         absorb_metadata: bool,
     ) -> DsaInstance {
         assert!(msg_len > 0, "empty offload");
+        let tls = |key: [u8; 16], iv, direction| {
+            DsaInstance::Tls(Box::new(OooGcm::with_metadata_policy(
+                AesGcm::new_128(&key),
+                iv,
+                aad,
+                msg_len,
+                direction,
+                absorb_metadata,
+            )))
+        };
         match op {
-            OffloadOp::TlsEncrypt { key, iv } => DsaInstance::Tls(OooGcm::with_metadata_policy(
-                AesGcm::new_128(&key),
-                iv,
-                aad,
-                msg_len,
-                Direction::Encrypt,
-                absorb_metadata,
-            )),
-            OffloadOp::TlsDecrypt { key, iv } => DsaInstance::Tls(OooGcm::with_metadata_policy(
-                AesGcm::new_128(&key),
-                iv,
-                aad,
-                msg_len,
-                Direction::Decrypt,
-                absorb_metadata,
-            )),
+            OffloadOp::TlsEncrypt { key, iv } => tls(key, iv, Direction::Encrypt),
+            OffloadOp::TlsDecrypt { key, iv } => tls(key, iv, Direction::Decrypt),
             OffloadOp::Compress => {
-                assert!(msg_len <= 4096, "compression is page-granular");
+                assert!(msg_len <= PAGE, "compression is page-granular");
                 DsaInstance::Compress(StreamBuf::new(msg_len, hw))
             }
             OffloadOp::Decompress => {
-                assert!(msg_len <= 4096, "decompression input is page-granular");
+                assert!(msg_len <= PAGE, "decompression input is page-granular");
                 DsaInstance::Decompress(StreamBuf::new(msg_len, hw))
             }
         }
@@ -419,6 +419,17 @@ mod tests {
         let mut corrupt = ctx;
         corrupt[1] = 200; // oversized AAD length
         assert!(OffloadOp::decode_context(&corrupt).is_none());
+        // TLS records may span pages; only (de)compression is page-bound.
+        assert!(OffloadOp::decode_context(&op.encode_context(16384, b"")).is_some());
+    }
+
+    #[test]
+    fn context_rejects_multi_page_compression() {
+        for op in [OffloadOp::Compress, OffloadOp::Decompress] {
+            assert!(OffloadOp::decode_context(&op.encode_context(4096, b"")).is_some());
+            assert!(OffloadOp::decode_context(&op.encode_context(4097, b"")).is_none());
+            assert!(OffloadOp::decode_context(&op.encode_context(8192, b"")).is_none());
+        }
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! class of table-typo bugs; the derivation itself is pinned by the
 //! FIPS-197 known-answer tests below.
 //!
-//! Only the forward cipher is needed by GCM (CTR mode), but the inverse
-//! cipher is provided for completeness and verified by round-trip tests.
+//! Only the forward cipher is needed by GCM (CTR mode), so only it is
+//! fast: [`Aes::encrypt_block`] runs the classic 32-bit T-table rounds,
+//! with the tables derived from the S-box at compile time. The byte-wise
+//! FIPS-197 round functions remain as [`Aes::encrypt_block_ref`], the
+//! oracle the T-table cipher is tested against, and as the inverse
+//! cipher, provided for completeness and verified by round-trip tests.
+//! The T-table cipher is not constant-time (see `TE`).
 
 /// Multiplies two elements of GF(2^8) modulo the AES polynomial x^8+x^4+x^3+x+1.
 const fn gf256_mul(mut a: u8, mut b: u8) -> u8 {
@@ -76,9 +81,36 @@ pub const SBOX: [u8; 256] = build_sbox();
 /// The inverse substitution box.
 pub const INV_SBOX: [u8; 256] = build_inv_sbox(&SBOX);
 
+/// The forward-cipher T-tables: `TE[k][x]` is SubBytes, MixColumns
+/// and the ShiftRows byte position `k` folded into one big-endian column
+/// word. `TE[0][x] = (2·S[x], S[x], S[x], 3·S[x])`; `TE[k]` is `TE[0]`
+/// rotated right by `8k` bits. Derived from [`SBOX`] at compile time, so
+/// no constants are transcribed.
+///
+/// Table lookups are indexed by secret state bytes, so this cipher is
+/// **not constant-time**: acceptable in a simulator, not in a crypto
+/// library.
+const TE: [[u32; 256]; 4] = {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let w = u32::from_be_bytes([gf256_mul(s, 2), s, s, gf256_mul(s, 3)]);
+        te[0][x] = w;
+        te[1][x] = w.rotate_right(8);
+        te[2][x] = w.rotate_right(16);
+        te[3][x] = w.rotate_right(24);
+        x += 1;
+    }
+    te
+};
+
 const RCON: [u8; 11] = [
     0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 ];
+
+/// Round-key words of the largest schedule (AES-256: 15 round keys).
+const MAX_WORDS: usize = 60;
 
 /// AES key size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,6 +136,11 @@ impl KeySize {
     }
 }
 
+/// Applies the S-box to each byte of a word (FIPS-197 SubWord).
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
 /// An expanded AES key (the "key schedule").
 ///
 /// This is exactly the state SmartDIMM's TLS DSA receives through Config
@@ -120,7 +157,9 @@ impl KeySize {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round-key words, big-endian (word `4r + c` is column `c` of round
+    /// key `r`); only the first `4 * (rounds + 1)` are used.
+    w: [u32; MAX_WORDS],
     size: KeySize,
 }
 
@@ -143,44 +182,21 @@ impl Aes {
     pub fn expand(key: &[u8], size: KeySize) -> Aes {
         let nk = size.key_words();
         assert_eq!(key.len(), nk * 4, "key length mismatch");
-        let nr = size.rounds();
-        let total_words = 4 * (nr + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let total_words = 4 * (size.rounds() + 1);
+        let mut w = [0u32; MAX_WORDS];
+        for (word, bytes) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in nk..total_words {
             let mut temp = w[i - 1];
             if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= RCON[i / nk];
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / nk]) << 24);
             } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
+                temp = sub_word(temp);
             }
-            let prev = w[i - nk];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = w[i - nk] ^ temp;
         }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Aes { round_keys, size }
+        Aes { w, size }
     }
 
     /// The key size this schedule was expanded from.
@@ -193,42 +209,98 @@ impl Aes {
         self.size.rounds()
     }
 
-    /// The expanded round keys (rounds + 1 entries of 16 bytes).
-    pub fn round_keys(&self) -> &[[u8; 16]] {
-        &self.round_keys
+    /// Round key `round` (0 ..= rounds) as 16 bytes.
+    fn round_key(&self, round: usize) -> [u8; 16] {
+        let mut rk = [0u8; 16];
+        for (c, chunk) in rk.chunks_exact_mut(4).enumerate() {
+            chunk.copy_from_slice(&self.w[4 * round + c].to_be_bytes());
+        }
+        rk
     }
 
-    /// Encrypts one 16-byte block.
+    /// The expanded round keys (rounds + 1 entries of 16 bytes).
+    pub fn round_keys(&self) -> Vec<[u8; 16]> {
+        (0..=self.rounds()).map(|r| self.round_key(r)).collect()
+    }
+
+    /// Encrypts one 16-byte block with the T-table cipher: each inner
+    /// round is 16 table lookups and XORs over four column words.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
+        let nr = self.rounds();
+        let rk = &self.w[..4 * (nr + 1)];
+        let col = |c: usize| {
+            u32::from_be_bytes([
+                block[4 * c],
+                block[4 * c + 1],
+                block[4 * c + 2],
+                block[4 * c + 3],
+            ])
+        };
+        let mut s = [
+            col(0) ^ rk[0],
+            col(1) ^ rk[1],
+            col(2) ^ rk[2],
+            col(3) ^ rk[3],
+        ];
+        for round_key in rk[4..4 * nr].chunks_exact(4) {
+            // Output column c takes row r from input column c + r
+            // (ShiftRows), through TE[r] (SubBytes + MixColumns).
+            let t = |c: usize| {
+                TE[0][(s[c] >> 24) as usize]
+                    ^ TE[1][((s[(c + 1) % 4] >> 16) & 0xff) as usize]
+                    ^ TE[2][((s[(c + 2) % 4] >> 8) & 0xff) as usize]
+                    ^ TE[3][(s[(c + 3) % 4] & 0xff) as usize]
+                    ^ round_key[c]
+            };
+            s = [t(0), t(1), t(2), t(3)];
+        }
+        // Final round: SubBytes + ShiftRows, no MixColumns.
+        let mut out = [0u8; 16];
+        for (c, chunk) in out.chunks_exact_mut(4).enumerate() {
+            let word = u32::from_be_bytes([
+                SBOX[(s[c] >> 24) as usize],
+                SBOX[((s[(c + 1) % 4] >> 16) & 0xff) as usize],
+                SBOX[((s[(c + 2) % 4] >> 8) & 0xff) as usize],
+                SBOX[(s[(c + 3) % 4] & 0xff) as usize],
+            ]) ^ rk[4 * nr + c];
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Reference encryption: the byte-wise FIPS-197 round functions
+    /// (SubBytes, ShiftRows, MixColumns, AddRoundKey). The oracle that
+    /// [`Aes::encrypt_block`] is tested against.
+    pub fn encrypt_block_ref(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
-        add_round_key(&mut state, &self.round_keys[0]);
+        add_round_key(&mut state, &self.round_key(0));
         let nr = self.rounds();
         for round in 1..nr {
             sub_bytes(&mut state);
             shift_rows(&mut state);
             mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
+            add_round_key(&mut state, &self.round_key(round));
         }
         sub_bytes(&mut state);
         shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[nr]);
+        add_round_key(&mut state, &self.round_key(nr));
         state
     }
 
-    /// Decrypts one 16-byte block.
+    /// Decrypts one 16-byte block (byte-wise inverse cipher).
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
         let nr = self.rounds();
-        add_round_key(&mut state, &self.round_keys[nr]);
+        add_round_key(&mut state, &self.round_key(nr));
         for round in (1..nr).rev() {
             inv_shift_rows(&mut state);
             inv_sub_bytes(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
+            add_round_key(&mut state, &self.round_key(round));
             inv_mix_columns(&mut state);
         }
         inv_shift_rows(&mut state);
         inv_sub_bytes(&mut state);
-        add_round_key(&mut state, &self.round_keys[0]);
+        add_round_key(&mut state, &self.round_key(0));
         state
     }
 }
@@ -425,7 +497,38 @@ mod tests {
         assert_eq!(s, orig);
     }
 
+    #[test]
+    fn reference_cipher_passes_fips197_known_answers() {
+        let pt: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+        let a128 = Aes::new_128(&hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap());
+        assert_eq!(
+            a128.encrypt_block_ref(&pt).to_vec(),
+            hex("69c4e0d86a7b0430d8cdb78070b4c55a")
+        );
+        let key256: [u8; 32] =
+            hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+                .try_into()
+                .unwrap();
+        let a256 = Aes::new_256(&key256);
+        assert_eq!(
+            a256.encrypt_block_ref(&pt).to_vec(),
+            hex("8ea2b7ca516745bfeafc49904b496089")
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_ttable_matches_reference_128(key: [u8; 16], pt: [u8; 16]) {
+            let aes = Aes::new_128(&key);
+            prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_ref(&pt));
+        }
+
+        #[test]
+        fn prop_ttable_matches_reference_256(key: [u8; 32], pt: [u8; 16]) {
+            let aes = Aes::new_256(&key);
+            prop_assert_eq!(aes.encrypt_block(&pt), aes.encrypt_block_ref(&pt));
+        }
+
         #[test]
         fn prop_encrypt_decrypt_roundtrip_128(key: [u8; 16], pt: [u8; 16]) {
             let aes = Aes::new_128(&key);

@@ -5,8 +5,9 @@
 //! * [`OooGcm`] — the out-of-order, cacheline-granular engine that models
 //!   SmartDIMM's TLS DSA (§V-A): the CPU supplies the hash subkey `H` and
 //!   the encrypted IV `EIV = E_K(J0)` through Config Memory, the engine
-//!   precomputes powers of `H`, and 64-byte cachelines are then processed
-//!   in *any* order as their rdCAS commands arrive at the buffer device.
+//!   precomputes one power of `H` per cacheline, and 64-byte cachelines
+//!   are then processed in *any* order as their rdCAS commands arrive at
+//!   the buffer device.
 //!
 //! Only 96-bit IVs are supported — the TLS 1.2/1.3 AEAD nonce size, and
 //! the only case where `J0` needs no GHASH (the paper's DSA relies on
@@ -14,7 +15,7 @@
 
 use crate::aes::Aes;
 use crate::gf128::Gf128;
-use crate::ghash::{Ghash, HPowers, OooGhash};
+use crate::ghash::{Ghash, OooGhash};
 use crate::CryptoError;
 
 /// GCM tag length in bytes (full 128-bit tags only).
@@ -197,9 +198,9 @@ pub enum Direction {
 /// One `OooGcm` instance corresponds to one registered source-buffer page
 /// span: it is created when the CPU writes the offload context (round
 /// keys, IV, `EIV`, message length, AAD) into Config Memory, precomputes
-/// the powers of `H` (the paper's GF multiplier running "in strides of
-/// 4"), and then accepts 64-byte cachelines in arbitrary order as rdCAS
-/// commands deliver them.
+/// one power of `H` per cacheline (the paper's GF multiplier running "in
+/// strides of 4", see [`OooGhash`]), and then accepts 64-byte cachelines
+/// in arbitrary order as rdCAS commands deliver them.
 ///
 /// # Example
 ///
@@ -232,9 +233,7 @@ pub struct OooGcm {
     iv: [u8; IV_LEN],
     eiv: [u8; 16],
     msg_len: usize,
-    aad_blocks: usize,
     ghash: OooGhash,
-    powers: HPowers,
     direction: Direction,
     bytes_processed: usize,
     absorbed_metadata: bool,
@@ -242,8 +241,8 @@ pub struct OooGcm {
 
 impl OooGcm {
     /// Registers a new offload: fixes the IV, AAD and total message
-    /// length, precomputes powers of `H` and absorbs the AAD and length
-    /// blocks (both known at registration time).
+    /// length, precomputes the per-line powers of `H` and absorbs the AAD
+    /// and length blocks (both known at registration time).
     ///
     /// # Panics
     ///
@@ -277,19 +276,10 @@ impl OooGcm {
         absorb_metadata: bool,
     ) -> OooGcm {
         assert!(msg_len > 0, "empty offloads are handled on the CPU");
-        let aad_blocks = aad.len().div_ceil(16);
-        let ct_blocks = msg_len.div_ceil(16);
-        let total = aad_blocks + ct_blocks + 1;
-        let powers = HPowers::new(gcm.hash_subkey(), total);
-        let mut ghash = OooGhash::new(total);
+        let h = gcm.hash_subkey();
+        let mut ghash = OooGhash::new(h, msg_len);
         if absorb_metadata {
-            for (i, chunk) in aad.chunks(16).enumerate() {
-                let mut block = [0u8; 16];
-                block[..chunk.len()].copy_from_slice(chunk);
-                ghash.absorb(&powers, i, &block);
-            }
-            let len_block = length_block(aad.len() as u64 * 8, msg_len as u64 * 8);
-            ghash.absorb(&powers, total - 1, &len_block);
+            ghash.add(metadata_ghash(h, aad, msg_len));
         }
         let eiv = gcm.encrypted_iv(&iv);
         OooGcm {
@@ -297,9 +287,7 @@ impl OooGcm {
             iv,
             eiv,
             msg_len,
-            aad_blocks,
             ghash,
-            powers,
             direction,
             bytes_processed: 0,
             absorbed_metadata: absorb_metadata,
@@ -333,20 +321,16 @@ impl OooGcm {
             Direction::Encrypt => &out,
             Direction::Decrypt => input,
         };
-        for (k, chunk) in ct.chunks(16).enumerate() {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            let ct_block_index = offset / 16 + k;
-            self.ghash
-                .absorb(&self.powers, self.aad_blocks + ct_block_index, &block);
-        }
+        self.ghash.absorb_line(offset / CACHELINE, ct);
         self.bytes_processed += input.len();
         out
     }
 
-    /// Whether every cacheline of the message has been processed.
+    /// Whether every cacheline of the message has been processed by an
+    /// engine that owns the whole tag. A partial engine (created with
+    /// `absorb_metadata = false`) never completes on its own.
     pub fn is_complete(&self) -> bool {
-        self.bytes_processed == self.msg_len && self.ghash.is_complete()
+        self.absorbed_metadata && self.bytes_processed == self.msg_len
     }
 
     /// Bytes processed so far.
@@ -391,20 +375,25 @@ impl OooGcm {
 /// The GHASH contribution of the AAD and length blocks for a message of
 /// `msg_len` bytes — the piece the host adds exactly once when combining
 /// per-channel partial accumulators (§V-D).
+///
+/// # Panics
+///
+/// Panics if `msg_len` is zero.
 pub fn metadata_contribution(gcm: &AesGcm, aad: &[u8], msg_len: usize) -> [u8; 16] {
     assert!(msg_len > 0);
-    let aad_blocks = aad.len().div_ceil(16);
-    let total = aad_blocks + msg_len.div_ceil(16) + 1;
-    let powers = HPowers::new(gcm.hash_subkey(), total);
-    let mut ghash = OooGhash::new(total);
-    for (i, chunk) in aad.chunks(16).enumerate() {
-        let mut block = [0u8; 16];
-        block[..chunk.len()].copy_from_slice(chunk);
-        ghash.absorb(&powers, i, &block);
-    }
+    metadata_ghash(gcm.hash_subkey(), aad, msg_len).to_bytes()
+}
+
+/// AAD and length blocks' share of GHASH: the AAD folded by Horner,
+/// lifted past the `C` ciphertext blocks and the length block with one
+/// `H^(C+1)`, plus the length block weighted by `H`.
+fn metadata_ghash(h: Gf128, aad: &[u8], msg_len: usize) -> Gf128 {
+    let mut aad_fold = Ghash::new(h);
+    aad_fold.update_padded(aad);
+    let ct_blocks = msg_len.div_ceil(16) as u64;
     let len_block = length_block(aad.len() as u64 * 8, msg_len as u64 * 8);
-    ghash.absorb(&powers, total - 1, &len_block);
-    ghash.finalize()
+    Gf128::from_bytes(&aad_fold.finalize()) * h.pow(ct_blocks + 1)
+        + Gf128::from_bytes(&len_block) * h
 }
 
 /// XOR-combines per-channel partial GHASH accumulators with the metadata
@@ -603,7 +592,112 @@ mod tests {
         dsa.process_cacheline(32, &[0u8; 64]);
     }
 
+    /// Drives an [`OooGcm`] over `msg` in the given cacheline order and
+    /// returns the transformed bytes.
+    fn run_engine(engine: &mut OooGcm, msg: &[u8], starts: &[usize]) -> Vec<u8> {
+        let mut got = vec![0u8; msg.len()];
+        for &start in starts {
+            let end = (start + CACHELINE).min(msg.len());
+            let out = engine.process_cacheline(start, &msg[start..end]);
+            got[start..end].copy_from_slice(&out);
+        }
+        got
+    }
+
+    /// Full-table reference for the AAD/length share of GHASH: every
+    /// power `H^1 ..= H^n` by repeated bit-at-a-time multiplies, one per
+    /// block of the whole GHASH input, as the engine did before it kept
+    /// only one power per cacheline.
+    fn metadata_reference(h: Gf128, aad: &[u8], msg_len: usize) -> [u8; 16] {
+        let total = aad.len().div_ceil(16) + msg_len.div_ceil(16) + 1;
+        let mut powers = vec![h]; // powers[i] = H^(i+1)
+        while powers.len() < total {
+            let next = powers[powers.len() - 1].mul_bitwise(h);
+            powers.push(next);
+        }
+        let mut acc = Gf128::ZERO;
+        for (i, chunk) in aad.chunks(16).enumerate() {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            acc = acc + Gf128::from_bytes(&block).mul_bitwise(powers[total - 1 - i]);
+        }
+        let len = length_block(aad.len() as u64 * 8, msg_len as u64 * 8);
+        (acc + Gf128::from_bytes(&len).mul_bitwise(powers[0])).to_bytes()
+    }
+
+    #[test]
+    fn ooo_gcm_matches_seal_at_line_and_block_edges() {
+        let gcm = AesGcm::new_128(&[0x3c; 16]);
+        let iv = [0x5a; 12];
+        for len in [
+            1usize, 15, 16, 17, 63, 64, 65, 4095, 4096, 4097, 16383, 16384,
+        ] {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let (want_ct, want_tag) = gcm.seal(&iv, b"hdr", &msg);
+            let mut dsa = OooGcm::new(gcm.clone(), iv, b"hdr", len, Direction::Encrypt);
+            let starts: Vec<usize> = (0..len).step_by(CACHELINE).rev().collect();
+            assert_eq!(run_engine(&mut dsa, &msg, &starts), want_ct, "len {len}");
+            assert!(dsa.is_complete());
+            assert_eq!(dsa.tag(), want_tag, "len {len}");
+        }
+    }
+
+    #[test]
+    fn metadata_contribution_matches_full_table_reference() {
+        let gcm = AesGcm::new_128(&[0x11; 16]);
+        let h = gcm.hash_subkey();
+        for aad_len in [0usize, 1, 5, 7, 16, 17, 40] {
+            let aad: Vec<u8> = (0..aad_len as u8).map(|b| b ^ 0xa5).collect();
+            for msg_len in [1usize, 16, 64, 200, 4096, 16384] {
+                assert_eq!(
+                    metadata_contribution(&gcm, &aad, msg_len),
+                    metadata_reference(h, &aad, msg_len),
+                    "aad {aad_len} msg {msg_len}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_partial_splits_combine_to_the_seal_tag(
+            key: [u8; 16],
+            iv: [u8; 12],
+            aad in proptest::collection::vec(any::<u8>(), 0..=7),
+            len in 1usize..=8192,
+            seed: u64,
+        ) {
+            let mut msg = vec![0u8; len];
+            let mut rng = simkit::DetRng::new(seed);
+            rng.fill_bytes(&mut msg);
+            let gcm = AesGcm::new_128(&key);
+            let (want_ct, want_tag) = gcm.seal(&iv, &aad, &msg);
+            for ways in [1usize, 2, 4] {
+                // Fine interleave: cacheline l belongs to channel l % ways.
+                let mut got = vec![0u8; len];
+                let mut partials = Vec::new();
+                for channel in 0..ways {
+                    let mut starts: Vec<usize> = (0..len)
+                        .step_by(CACHELINE)
+                        .filter(|s| (s / CACHELINE) % ways == channel)
+                        .collect();
+                    rng.shuffle(&mut starts);
+                    let mut dsa = OooGcm::with_metadata_policy(
+                        gcm.clone(), iv, &aad, len, Direction::Encrypt, false,
+                    );
+                    let out = run_engine(&mut dsa, &msg, &starts);
+                    prop_assert!(!dsa.is_complete());
+                    for &s in &starts {
+                        let end = (s + CACHELINE).min(len);
+                        got[s..end].copy_from_slice(&out[s..end]);
+                    }
+                    partials.push(dsa.partial_ghash());
+                }
+                prop_assert_eq!(&got, &want_ct);
+                prop_assert_eq!(combine_partial_tags(&gcm, &iv, &aad, len, &partials), want_tag);
+            }
+        }
+
         #[test]
         fn prop_seal_open_roundtrip(
             key: [u8; 16],
@@ -622,7 +716,7 @@ mod tests {
             key: [u8; 16],
             iv: [u8; 12],
             aad in proptest::collection::vec(any::<u8>(), 0..32),
-            pt in proptest::collection::vec(any::<u8>(), 1..600),
+            pt in proptest::collection::vec(any::<u8>(), 1..=16384),
             seed: u64,
         ) {
             let gcm = AesGcm::new_128(&key);
@@ -633,14 +727,8 @@ mod tests {
             );
             let mut starts: Vec<usize> = (0..pt.len()).step_by(CACHELINE).collect();
             simkit::DetRng::new(seed).shuffle(&mut starts);
-            let mut got = vec![0u8; pt.len()];
-            for start in starts {
-                let end = (start + CACHELINE).min(pt.len());
-                let out = dsa.process_cacheline(start, &pt[start..end]);
-                got[start..end].copy_from_slice(&out);
-            }
+            prop_assert_eq!(run_engine(&mut dsa, &pt, &starts), want_ct);
             prop_assert!(dsa.is_complete());
-            prop_assert_eq!(got, want_ct);
             prop_assert_eq!(dsa.tag(), want_tag);
         }
 

@@ -6,44 +6,38 @@
 //! convention appears as the constant `0xE1` shifted into the top byte.
 //!
 //! [`Gf128`] is the element type used by GHASH and by the SmartDIMM TLS
-//! DSA's precomputed table of powers of `H` (§V-A).
+//! DSA's per-cacheline powers of `H` (§V-A).
+//!
+//! Multiplication is table-free: a carry-less 128×128 product built from
+//! masked 64-bit integer multiplies (BearSSL's `ctmul64` construction),
+//! one Karatsuba level, then reduction — the same code for every operand
+//! pair, so no per-key state exists to build or cache.
 
 use std::ops::{Add, Mul};
 
-/// Multiplies by `x` (one bit of polynomial degree): shift right in the
-/// reflected representation, folding the dropped degree-127 term back in
-/// with the reduction constant.
-#[inline]
-const fn mulx(v: u128) -> u128 {
-    const R: u128 = 0xE1 << 120;
-    let carry = v & 1;
-    let shifted = v >> 1;
-    if carry == 1 {
-        shifted ^ R
-    } else {
-        shifted
-    }
+/// The low 64 bits of the carry-less product `x · y`.
+///
+/// Each operand is split into four interleaved bit lanes (every fourth
+/// bit); an ordinary integer multiply of two lanes leaves holes of three
+/// bits between result bits, wide enough that the column sums (at most
+/// 15 below bit 60, 16 only where the carry leaves the word) never carry
+/// into the next bit of the same lane. Masking each lane sum back out
+/// keeps exactly the XOR of the partial products.
+#[inline(always)]
+fn bmul64(x: u64, y: u64) -> u64 {
+    const M0: u64 = 0x1111_1111_1111_1111;
+    const M1: u64 = M0 << 1;
+    const M2: u64 = M0 << 2;
+    const M3: u64 = M0 << 3;
+    let (x0, x1, x2, x3) = (x & M0, x & M1, x & M2, x & M3);
+    let (y0, y1, y2, y3) = (y & M0, y & M1, y & M2, y & M3);
+    let m = u64::wrapping_mul;
+    let z0 = m(x0, y0) ^ m(x1, y3) ^ m(x2, y2) ^ m(x3, y1);
+    let z1 = m(x0, y1) ^ m(x1, y0) ^ m(x2, y3) ^ m(x3, y2);
+    let z2 = m(x0, y2) ^ m(x1, y1) ^ m(x2, y0) ^ m(x3, y3);
+    let z3 = m(x0, y3) ^ m(x1, y2) ^ m(x2, y1) ^ m(x3, y0);
+    (z0 & M0) | (z1 & M1) | (z2 & M2) | (z3 & M3)
 }
-
-/// `R4[j]` is the reduction contribution of the low nibble `j` when a
-/// field element is multiplied by `x^4`: `z·x^4 = (z >> 4) ^ R4[z & 0xF]`.
-/// Derived at compile time from `mulx` so no transcribed constants can
-/// drift from the reference reduction.
-const R4: [u128; 16] = {
-    let mut table = [0u128; 16];
-    let mut j = 0;
-    while j < 16 {
-        let mut v = j as u128;
-        let mut k = 0;
-        while k < 4 {
-            v = mulx(v);
-            k += 1;
-        }
-        table[j] = v;
-        j += 1;
-    }
-    table
-};
 
 /// An element of GF(2^128) in GCM bit order.
 ///
@@ -97,10 +91,9 @@ impl Gf128 {
     /// Reference multiplication: the bit-at-a-time algorithm of NIST SP
     /// 800-38D §6.3, one conditional XOR per bit of `rhs`.
     ///
-    /// This is the oracle the table-driven [`GfMulTable`] (and the `Mul`
-    /// impl built on it) is validated against, and the "before" side of
-    /// the `bench_hotpaths` GHASH measurement. Hot paths should use `*`
-    /// or a per-key [`GfMulTable`] instead.
+    /// This is the oracle the `Mul` impl is validated against, and the
+    /// "before" side of the `bench_hotpaths` GHASH measurement. Hot paths
+    /// use `*`.
     pub fn mul_bitwise(self, rhs: Gf128) -> Gf128 {
         const R: u128 = 0xE1 << 120;
         let mut z: u128 = 0;
@@ -120,61 +113,6 @@ impl Gf128 {
     }
 }
 
-/// Shoup-style 4-bit multiplication table for a fixed element `H`.
-///
-/// GHASH multiplies everything by the same hash subkey, so the table is
-/// built **once per key** (16 entries: every 4-bit polynomial times `H`)
-/// and each subsequent product costs 32 nibble steps instead of the 128
-/// conditional-XOR iterations of [`Gf128::mul_bitwise`] — the §V-A
-/// observation that the multiplier, not the data, is the loop invariant.
-///
-/// # Example
-///
-/// ```
-/// use ulp_crypto::gf128::{Gf128, GfMulTable};
-/// let h = Gf128::from_bytes(&[0x35; 16]);
-/// let x = Gf128::from_bytes(&[0x77; 16]);
-/// let table = GfMulTable::new(h);
-/// assert_eq!(table.mul(x), x.mul_bitwise(h));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GfMulTable {
-    /// `m[i]` = (the degree-≤3 polynomial spelled by nibble `i`) · H,
-    /// where bit `j` of `i` carries the coefficient of `x^(3-j)`.
-    m: [u128; 16],
-}
-
-impl GfMulTable {
-    /// Builds the 16-entry table for multiplication by `h`.
-    pub fn new(h: Gf128) -> GfMulTable {
-        let mut m = [0u128; 16];
-        // Single-bit entries by repeated ·x, composites by linearity.
-        m[8] = h.0; // x^0 · H
-        m[4] = mulx(m[8]); // x^1 · H
-        m[2] = mulx(m[4]); // x^2 · H
-        m[1] = mulx(m[2]); // x^3 · H
-        for top in [2usize, 4, 8] {
-            for low in 1..top {
-                m[top | low] = m[top] ^ m[low];
-            }
-        }
-        GfMulTable { m }
-    }
-
-    /// Computes `x · H` with the precomputed table.
-    #[inline]
-    pub fn mul(&self, x: Gf128) -> Gf128 {
-        // Horner over the 32 nibbles of x, least-significant (highest
-        // polynomial degree) first: z ← z·x^4 + nibble·H.
-        let x = x.0;
-        let mut z = self.m[(x & 0xF) as usize];
-        for n in 1..32 {
-            z = (z >> 4) ^ R4[(z & 0xF) as usize] ^ self.m[((x >> (4 * n)) & 0xF) as usize];
-        }
-        Gf128(z)
-    }
-}
-
 impl Add for Gf128 {
     type Output = Gf128;
     /// Addition in GF(2^128) is XOR.
@@ -187,13 +125,52 @@ impl Add for Gf128 {
 
 impl Mul for Gf128 {
     type Output = Gf128;
-    /// Carry-less multiplication with on-the-fly reduction via a 4-bit
-    /// window table built per call (cheap: 3 shifts + 11 XORs). Both
-    /// operands may vary — the out-of-order GHASH multiplies each block
-    /// by a *different* power of `H`, so no per-key table applies there.
-    /// Agrees bit-for-bit with [`Gf128::mul_bitwise`].
+    /// Table-free carry-less multiplication with reduction. Agrees
+    /// bit-for-bit with [`Gf128::mul_bitwise`].
+    ///
+    /// GCM's reflected bit order means the big-endian integers multiply
+    /// as bit-reversed polynomials: their 255-bit carry-less product is
+    /// the reversed true product, one bit short of 256. Karatsuba over
+    /// the 64-bit halves needs three half products; [`bmul64`] yields
+    /// only the low 64 bits of each, and the high 64 bits come from
+    /// multiplying the bit-reversed halves (`rev(x)·rev(y)` is the
+    /// reversed product). After the one-bit realignment the low 128 bits
+    /// hold degrees 128..255, which fold back into the high 128 bits via
+    /// `x^128 = x^7 + x^2 + x + 1`.
     fn mul(self, rhs: Gf128) -> Gf128 {
-        GfMulTable::new(self).mul(rhs)
+        let (x1, x0) = ((self.0 >> 64) as u64, self.0 as u64);
+        let (y1, y0) = ((rhs.0 >> 64) as u64, rhs.0 as u64);
+        let (x0r, x1r) = (x0.reverse_bits(), x1.reverse_bits());
+        let (y0r, y1r) = (y0.reverse_bits(), y1.reverse_bits());
+
+        let z0 = bmul64(x0, y0);
+        let z1 = bmul64(x1, y1);
+        let mut z2 = bmul64(x0 ^ x1, y0 ^ y1);
+        let mut z0h = bmul64(x0r, y0r);
+        let mut z1h = bmul64(x1r, y1r);
+        let mut z2h = bmul64(x0r ^ x1r, y0r ^ y1r);
+        z2 ^= z0 ^ z1;
+        z2h ^= z0h ^ z1h;
+        z0h = z0h.reverse_bits() >> 1;
+        z1h = z1h.reverse_bits() >> 1;
+        z2h = z2h.reverse_bits() >> 1;
+
+        // The 255-bit product as four words (v3 most significant),
+        // shifted left by one to realign the reflected coefficients.
+        let (v0, v1, v2, v3) = (z0, z0h ^ z2, z1 ^ z2h, z1h);
+        let (v0, v1, v2, v3) = (
+            v0 << 1,
+            (v1 << 1) | (v0 >> 63),
+            (v2 << 1) | (v1 >> 63),
+            (v3 << 1) | (v2 >> 63),
+        );
+
+        // Reduction, one 64-bit word of high-degree terms at a time.
+        let v2 = v2 ^ v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
+        let v1 = v1 ^ (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
+        let v3 = v3 ^ v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
+        let v2 = v2 ^ (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
+        Gf128((u128::from(v3) << 64) | u128::from(v2))
     }
 }
 
@@ -253,21 +230,41 @@ mod tests {
     }
 
     #[test]
-    fn table_identity_and_zero() {
+    fn mul_identity_and_zero_either_side() {
         let h = Gf128::from_bytes(&hex16("66e94bd4ef8a2c3b884cfa59ca342b2e"));
-        let table = GfMulTable::new(h);
-        assert_eq!(table.mul(Gf128::ONE), h);
-        assert_eq!(table.mul(Gf128::ZERO), Gf128::ZERO);
-        assert_eq!(GfMulTable::new(Gf128::ONE).mul(h), h);
+        assert_eq!(Gf128::ONE * h, h);
+        assert_eq!(Gf128::ZERO * h, Gf128::ZERO);
+        assert_eq!(h.mul_bitwise(Gf128::ONE), h);
     }
 
     #[test]
-    fn table_matches_bitwise_on_gcm_vectors() {
+    fn mul_matches_bitwise_on_gcm_vectors() {
         let h = Gf128::from_bytes(&hex16("66e94bd4ef8a2c3b884cfa59ca342b2e"));
         let c1 = Gf128::from_bytes(&hex16("0388dace60b6a392f328c2b971b2fe78"));
-        let table = GfMulTable::new(h);
-        assert_eq!(table.mul(c1), c1.mul_bitwise(h));
-        assert_eq!(table.mul(h), h.mul_bitwise(h));
+        assert_eq!(c1 * h, c1.mul_bitwise(h));
+        assert_eq!(h * h, h.mul_bitwise(h));
+    }
+
+    #[test]
+    fn mul_matches_bitwise_on_extreme_operands() {
+        // All-ones halves fill every lane of the masked multiplies, the
+        // worst case for the column-sum headroom; single bits at each
+        // word edge exercise the one-bit realignment and the reduction.
+        let mut operands = vec![
+            u128::MAX,
+            u128::MAX >> 64,
+            u128::MAX << 64,
+            1,
+            1 << 63,
+            1 << 64,
+        ];
+        operands.extend((0..128).step_by(9).map(|b| 1u128 << b));
+        for &a in &operands {
+            for &b in &operands {
+                let (x, y) = (Gf128(a), Gf128(b));
+                assert_eq!(x * y, x.mul_bitwise(y), "{a:032x} * {b:032x}");
+            }
+        }
     }
 
     proptest! {
@@ -301,12 +298,11 @@ mod tests {
         }
 
         #[test]
-        fn prop_table_and_mul_match_bitwise(a: [u8; 16], b: [u8; 16]) {
+        fn prop_mul_matches_bitwise(a: [u8; 16], b: [u8; 16]) {
             let x = Gf128::from_bytes(&a);
             let y = Gf128::from_bytes(&b);
-            let expected = x.mul_bitwise(y);
-            prop_assert_eq!(x * y, expected);
-            prop_assert_eq!(GfMulTable::new(y).mul(x), expected);
+            prop_assert_eq!(x * y, x.mul_bitwise(y));
+            prop_assert_eq!(y * x, x.mul_bitwise(y));
         }
     }
 }

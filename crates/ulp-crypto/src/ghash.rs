@@ -12,70 +12,15 @@
 //!
 //! each 16-byte block's contribution depends only on its own index and the
 //! total block count, so blocks may be absorbed in any order. The DSA
-//! precomputes H^i "in strides of 4" (four blocks per 64-byte cacheline);
-//! [`HPowers`] models that table, and [`OooGhash`] the order-independent
-//! accumulator.
+//! precomputes H^i "in strides of 4" — one power per 64-byte cacheline of
+//! four blocks. [`OooGhash`] models exactly that: it folds a line's blocks
+//! by Horner with `H`, then lifts the fold to the line's position with one
+//! multiply by the line's power.
 
-use crate::gf128::{Gf128, GfMulTable};
+use crate::gf128::Gf128;
 
-/// Precomputed powers of the hash subkey `H` (H^1 .. H^max).
-///
-/// In hardware this table lives in Config Memory and is filled by the GF
-/// multiplier as soon as the source buffer is registered (§V-A). One
-/// 4 KB page plus the length block needs 258 powers; the table size is a
-/// constructor parameter so ablations can vary it.
-///
-/// # Example
-///
-/// ```
-/// use ulp_crypto::gf128::Gf128;
-/// use ulp_crypto::ghash::HPowers;
-/// let h = Gf128::from_bytes(&[7u8; 16]);
-/// let powers = HPowers::new(h, 8);
-/// assert_eq!(powers.get(1), h);
-/// assert_eq!(powers.get(3), h * h * h);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HPowers {
-    powers: Vec<Gf128>, // powers[i] = H^(i+1)
-}
-
-impl HPowers {
-    /// Precomputes `H^1 ..= H^max`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max` is zero.
-    pub fn new(h: Gf128, max: usize) -> HPowers {
-        assert!(max > 0, "need at least H^1");
-        // Every step multiplies by the same H, so one per-key table
-        // amortizes across the whole stride — the same trick the Config
-        // Memory fill engine uses while the source buffer registers.
-        let table = GfMulTable::new(h);
-        let mut powers = Vec::with_capacity(max);
-        let mut acc = h;
-        for _ in 0..max {
-            powers.push(acc);
-            acc = table.mul(acc);
-        }
-        HPowers { powers }
-    }
-
-    /// Returns `H^exp` (1-indexed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exp` is zero or beyond the precomputed range.
-    pub fn get(&self, exp: usize) -> Gf128 {
-        assert!(exp >= 1, "H^0 is not stored");
-        self.powers[exp - 1]
-    }
-
-    /// Largest precomputed exponent.
-    pub fn max_exp(&self) -> usize {
-        self.powers.len()
-    }
-}
+/// Bytes per cacheline, the DSA's unit of work.
+const LINE: usize = 64;
 
 /// Textbook sequential GHASH.
 ///
@@ -84,32 +29,26 @@ impl HPowers {
 /// against.
 #[derive(Debug, Clone)]
 pub struct Ghash {
-    h: GfMulTable,
+    h: Gf128,
     y: Gf128,
 }
 
 impl Ghash {
-    /// Creates a GHASH instance keyed by `h`, building the per-key 4-bit
-    /// multiplication table once up front.
+    /// Creates a GHASH instance keyed by `h`.
     pub fn new(h: Gf128) -> Ghash {
-        Ghash {
-            h: GfMulTable::new(h),
-            y: Gf128::ZERO,
-        }
+        Ghash { h, y: Gf128::ZERO }
     }
 
     /// Absorbs one 16-byte block.
     pub fn update_block(&mut self, block: &[u8; 16]) {
-        self.y = self.h.mul(self.y + Gf128::from_bytes(block));
+        self.y = (self.y + Gf128::from_bytes(block)) * self.h;
     }
 
     /// Absorbs `data`, zero-padding the final partial block (as GCM does
     /// between the AAD and ciphertext sections).
     pub fn update_padded(&mut self, data: &[u8]) {
         for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            self.update_block(&block);
+            self.update_block(&pad_block(chunk));
         }
     }
 
@@ -119,79 +58,110 @@ impl Ghash {
     }
 }
 
-/// Order-independent GHASH over a message with a known total block count.
+/// Zero-pads up to 16 bytes into a GHASH block.
+fn pad_block(chunk: &[u8]) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    block[..chunk.len()].copy_from_slice(chunk);
+    block
+}
+
+/// Order-independent GHASH over the ciphertext of a GCM message,
+/// absorbed one cacheline at a time in any order.
 ///
-/// This is the DSA-side formulation: every block contributes
-/// `X_i · H^(n-i+1)` where `n` is the total number of blocks (including
-/// the final length block), and contributions are XOR-accumulated in any
-/// order. The result equals sequential GHASH once every block has been
-/// absorbed exactly once.
+/// For a message of `C` ciphertext blocks, ciphertext block `c`
+/// (0-based) contributes `X_c · H^(C+1-c)`: its position in the full
+/// GHASH input, followed only by the length block (weight `H`). The AAD
+/// and length blocks' share is added by the caller with
+/// [`OooGhash::add`]; a per-channel partial engine skips it, so partial
+/// accumulators stay combinable by XOR (§V-D).
+///
+/// Registration builds one power per cacheline — `msg_len.div_ceil(64)`
+/// entries, 64 for a 4 KB page: the tail line's power is `H^2`, the line
+/// before it one step of `H^tail` further (`tail` = the tail line's block
+/// count), and every earlier line `H^4` further still.
 ///
 /// # Example
 ///
 /// ```
 /// use ulp_crypto::gf128::Gf128;
-/// use ulp_crypto::ghash::{Ghash, HPowers, OooGhash};
+/// use ulp_crypto::ghash::{Ghash, OooGhash};
 ///
 /// let h = Gf128::from_bytes(&[0x42; 16]);
-/// let blocks: Vec<[u8; 16]> = (0..4u8).map(|i| [i; 16]).collect();
+/// let ct: Vec<u8> = (0..200u8).collect();
 ///
+/// // Sequential: the ciphertext, then an all-zero stand-in for the
+/// // length block (whose own contribution the caller adds).
 /// let mut seq = Ghash::new(h);
-/// for b in &blocks { seq.update_block(b); }
+/// seq.update_padded(&ct);
+/// seq.update_block(&[0u8; 16]);
 ///
-/// let powers = HPowers::new(h, blocks.len());
-/// let mut ooo = OooGhash::new(blocks.len());
-/// // Absorb in reverse order — the result must not change.
-/// for (i, b) in blocks.iter().enumerate().rev() {
-///     ooo.absorb(&powers, i, b);
+/// let mut ooo = OooGhash::new(h, ct.len());
+/// // Absorb the four cachelines in reverse order — the result must not change.
+/// for line in (0..4).rev() {
+///     let start = line * 64;
+///     ooo.absorb_line(line, &ct[start..(start + 64).min(ct.len())]);
 /// }
 /// assert_eq!(ooo.finalize(), seq.finalize());
 /// ```
 #[derive(Debug, Clone)]
 pub struct OooGhash {
-    total_blocks: usize,
+    h: Gf128,
+    /// `line_powers[l]` lifts line `l`'s Horner fold to its position.
+    line_powers: Vec<Gf128>,
     acc: Gf128,
-    absorbed: u64,
 }
 
 impl OooGhash {
-    /// Creates an accumulator for a message of exactly `total_blocks`
-    /// 16-byte blocks.
+    /// Creates an accumulator for `msg_len` bytes of ciphertext and
+    /// builds the per-line powers of `h`.
     ///
     /// # Panics
     ///
-    /// Panics if `total_blocks` is zero.
-    pub fn new(total_blocks: usize) -> OooGhash {
-        assert!(total_blocks > 0, "message must have at least one block");
+    /// Panics if `msg_len` is zero.
+    pub fn new(h: Gf128, msg_len: usize) -> OooGhash {
+        assert!(msg_len > 0, "message must have at least one block");
+        let lines = msg_len.div_ceil(LINE);
+        let tail_blocks = msg_len.div_ceil(16) - 4 * (lines - 1);
+        let h4 = h.pow(4);
+        let mut line_powers = vec![h * h; lines];
+        for l in (0..lines - 1).rev() {
+            let step = if l == lines - 2 {
+                h.pow(tail_blocks as u64)
+            } else {
+                h4
+            };
+            line_powers[l] = line_powers[l + 1] * step;
+        }
         OooGhash {
-            total_blocks,
+            h,
+            line_powers,
             acc: Gf128::ZERO,
-            absorbed: 0,
         }
     }
 
-    /// Absorbs block `index` (0-based position within the message).
+    /// Absorbs cacheline `line` (0-based): `data` is its ciphertext, 64
+    /// bytes, or the message's remaining bytes for the tail line.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range or the required power of `H` was
-    /// not precomputed.
-    pub fn absorb(&mut self, powers: &HPowers, index: usize, block: &[u8; 16]) {
-        assert!(index < self.total_blocks, "block index out of range");
-        let exp = self.total_blocks - index; // n - i + 1 with 1-based i
-        self.acc = self.acc + Gf128::from_bytes(block) * powers.get(exp);
-        self.absorbed += 1;
+    /// Panics if `line` is out of range or `data` is empty or longer
+    /// than a cacheline.
+    pub fn absorb_line(&mut self, line: usize, data: &[u8]) {
+        assert!(line < self.line_powers.len(), "line index out of range");
+        assert!(
+            !data.is_empty() && data.len() <= LINE,
+            "a line holds 1..=64 bytes"
+        );
+        let mut blocks = data.chunks(16).map(|c| Gf128::from_bytes(&pad_block(c)));
+        let first = blocks.next().unwrap_or(Gf128::ZERO);
+        let fold = blocks.fold(first, |acc, x| acc * self.h + x);
+        self.acc = self.acc + fold * self.line_powers[line];
     }
 
-    /// Number of blocks absorbed so far (duplicates are not detected; the
-    /// caller — the DSA — guarantees each cacheline is processed once).
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
-    }
-
-    /// Whether every block of the message has been absorbed.
-    pub fn is_complete(&self) -> bool {
-        self.absorbed == self.total_blocks as u64
+    /// XORs an already-weighted contribution (the AAD/length metadata)
+    /// into the accumulator.
+    pub fn add(&mut self, contribution: Gf128) {
+        self.acc = self.acc + contribution;
     }
 
     /// Returns the accumulated hash value.
@@ -212,19 +182,20 @@ mod tests {
         ])
     }
 
-    #[test]
-    fn hpowers_first_is_h() {
-        let h = h_fixture();
-        let p = HPowers::new(h, 4);
-        assert_eq!(p.get(1), h);
-        assert_eq!(p.get(2), h * h);
-        assert_eq!(p.max_exp(), 4);
+    /// Sequential GHASH of `ct` followed by a zero block in the length
+    /// block's slot: what an [`OooGhash`] over `ct` must finalize to.
+    fn sequential(h: Gf128, ct: &[u8]) -> [u8; 16] {
+        let mut seq = Ghash::new(h);
+        seq.update_padded(ct);
+        seq.update_block(&[0u8; 16]);
+        seq.finalize()
     }
 
-    #[test]
-    #[should_panic(expected = "H^0")]
-    fn hpowers_rejects_zero_exp() {
-        HPowers::new(h_fixture(), 2).get(0);
+    fn absorb_in_order(ooo: &mut OooGhash, ct: &[u8], order: &[usize]) {
+        for &line in order {
+            let start = line * LINE;
+            ooo.absorb_line(line, &ct[start..(start + LINE).min(ct.len())]);
+        }
     }
 
     #[test]
@@ -248,80 +219,68 @@ mod tests {
     }
 
     #[test]
+    fn line_powers_step_by_h4_after_the_tail() {
+        // 200 bytes: 13 blocks in 4 lines, the tail line holds 1 block.
+        let h = h_fixture();
+        let ooo = OooGhash::new(h, 200);
+        assert_eq!(ooo.line_powers.len(), 4);
+        assert_eq!(ooo.line_powers[3], h.pow(2));
+        assert_eq!(ooo.line_powers[2], h.pow(3));
+        assert_eq!(ooo.line_powers[1], h.pow(7));
+        assert_eq!(ooo.line_powers[0], h.pow(11));
+        // A 4 KB page needs one power per cacheline.
+        assert_eq!(OooGhash::new(h, 4096).line_powers.len(), 64);
+    }
+
+    #[test]
     fn ooo_matches_sequential_any_order() {
         let h = h_fixture();
-        let blocks: Vec<[u8; 16]> = (0..17u8).map(|i| [i.wrapping_mul(37); 16]).collect();
-        let mut seq = Ghash::new(h);
-        for b in &blocks {
-            seq.update_block(b);
-        }
-        let powers = HPowers::new(h, blocks.len());
-
+        let ct: Vec<u8> = (0..17 * 16 + 5)
+            .map(|i| (i as u8).wrapping_mul(37))
+            .collect();
+        let lines = ct.len().div_ceil(LINE);
         // A few deterministic permutations.
         let orders: Vec<Vec<usize>> = vec![
-            (0..blocks.len()).collect(),
-            (0..blocks.len()).rev().collect(),
-            (0..blocks.len()).map(|i| (i * 7) % blocks.len()).collect(),
+            (0..lines).collect(),
+            (0..lines).rev().collect(),
+            (0..lines).map(|i| (i * 3) % lines).collect(),
         ];
         for order in orders {
-            let mut ooo = OooGhash::new(blocks.len());
-            for &i in &order {
-                ooo.absorb(&powers, i, &blocks[i]);
-            }
-            assert!(ooo.is_complete());
-            assert_eq!(ooo.finalize(), seq.finalize());
+            let mut ooo = OooGhash::new(h, ct.len());
+            absorb_in_order(&mut ooo, &ct, &order);
+            assert_eq!(ooo.finalize(), sequential(h, &ct));
         }
     }
 
     #[test]
-    fn ooo_tracks_completion() {
+    fn add_xors_into_the_accumulator() {
         let h = h_fixture();
-        let powers = HPowers::new(h, 2);
-        let mut ooo = OooGhash::new(2);
-        assert!(!ooo.is_complete());
-        ooo.absorb(&powers, 1, &[1; 16]);
-        assert_eq!(ooo.absorbed(), 1);
-        assert!(!ooo.is_complete());
-        ooo.absorb(&powers, 0, &[2; 16]);
-        assert!(ooo.is_complete());
+        let mut ooo = OooGhash::new(h, 64);
+        ooo.add(h);
+        assert_eq!(ooo.finalize(), h.to_bytes());
+        ooo.add(h);
+        assert_eq!(ooo.finalize(), [0u8; 16]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn ooo_rejects_bad_index() {
-        let powers = HPowers::new(h_fixture(), 4);
-        OooGhash::new(2).absorb(&powers, 2, &[0; 16]);
+        OooGhash::new(h_fixture(), 128).absorb_line(2, &[0; 64]);
     }
 
     proptest! {
         #[test]
         fn prop_ooo_equals_sequential(
             hbytes: [u8; 16],
-            data in proptest::collection::vec(any::<u8>(), 16..512),
+            ct in proptest::collection::vec(any::<u8>(), 1..700),
             seed: u64,
         ) {
             let h = Gf128::from_bytes(&hbytes);
-            let blocks: Vec<[u8; 16]> = data
-                .chunks(16)
-                .map(|c| {
-                    let mut b = [0u8; 16];
-                    b[..c.len()].copy_from_slice(c);
-                    b
-                })
-                .collect();
-            let mut seq = Ghash::new(h);
-            for b in &blocks { seq.update_block(b); }
-
-            let powers = HPowers::new(h, blocks.len());
-            let mut order: Vec<usize> = (0..blocks.len()).collect();
-            let mut rng = simkit::DetRng::new(seed);
-            rng.shuffle(&mut order);
-
-            let mut ooo = OooGhash::new(blocks.len());
-            for &i in &order {
-                ooo.absorb(&powers, i, &blocks[i]);
-            }
-            prop_assert_eq!(ooo.finalize(), seq.finalize());
+            let mut order: Vec<usize> = (0..ct.len().div_ceil(LINE)).collect();
+            simkit::DetRng::new(seed).shuffle(&mut order);
+            let mut ooo = OooGhash::new(h, ct.len());
+            absorb_in_order(&mut ooo, &ct, &order);
+            prop_assert_eq!(ooo.finalize(), sequential(h, &ct));
         }
     }
 }

@@ -305,13 +305,13 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     // One op = the 4-channel slice of the `run_report` sweep: four
     // independent simulations (TLS on CPU and SmartDIMM under fine
     // interleave, deflate under coarse, TLS on the fast backend).
-    // Before: the pre-parallel report builder — entries run one after
-    // another on the caller's thread. After: the same entries fanned
-    // out on a 4-worker `simkit::par` pool, exactly as `run_report`
-    // now executes them. Results are byte-identical either way
-    // (`tests/parallel_determinism.rs` pins this); the ratio is the
-    // wall-clock scaling of whole-simulation parallelism, bounded by
-    // the slowest single entry (deflate).
+    // Before: the entries run one after another on the caller's
+    // thread. After: the same entries fanned out on a 4-worker
+    // `simkit::par` pool, exactly as `run_report` executes them. Each
+    // simulation itself is sequential; results are byte-identical
+    // either way (`tests/parallel_determinism.rs` pins this). The ratio
+    // is the wall-clock scaling of whole-simulation parallelism,
+    // bounded by the slowest single entry (deflate).
     let entries = || -> Vec<(PlatformKind, WorkloadConfig)> {
         let tls_cfg = WorkloadConfig {
             message_bytes: 4096,
@@ -321,7 +321,6 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
             llc: Some(CacheConfig::mb(2, 16)),
             channels: 4,
             channel_interleave_lines: 1,
-            threads: 1,
             ..WorkloadConfig::default()
         };
         let deflate_cfg = WorkloadConfig {

@@ -56,11 +56,8 @@ pub enum WrResult {
 /// On-module logic observing and intercepting the DDR command stream.
 ///
 /// Implementations must be deterministic: the same command sequence must
-/// produce the same responses. `Send` is a supertrait so a channel's
-/// whole [`Dimm`] (device included) can move to a `simkit::par` worker
-/// when shards drain in parallel — device state stays channel-local, so
-/// `Sync` is neither required nor wanted.
-pub trait BufferDevice: Send {
+/// produce the same responses.
+pub trait BufferDevice {
     /// A row was activated in `(rank, bank_index)`.
     fn on_activate(&mut self, at: Cycle, rank: usize, bank_index: usize, row: usize);
 

@@ -50,7 +50,7 @@ use std::collections::BinaryHeap;
 use cache::CacheConfig;
 use dram::BackendKind;
 use simkit::{Cycle, DetRng, EventQueue, Histogram};
-use smartdimm::{CompCpyHost, HostConfig};
+use smartdimm::{CompCpyHost, HostConfig, MAX_MSG_BYTES};
 use ulp_compress::corpus;
 
 use crate::params::CostParams;
@@ -64,9 +64,9 @@ use crate::server::{
 /// `c` uses slot `c % ARENA_SLOTS`, modeling a bounded buffer pool.
 const ARENA_SLOTS: usize = 1024;
 
-/// Completions between device queue-pressure samples. Sampling settles
-/// the channel shards, so a fixed cadence bounds that cost while keeping
-/// the admission decision deterministic.
+/// Completions between device queue-pressure samples. Sampling reads
+/// every channel's device state, so a fixed cadence bounds that cost
+/// while keeping the admission decision deterministic.
 const PRESSURE_SAMPLE_EVERY: u64 = 16;
 
 /// What to do with a request admitted while the device is saturated.
@@ -139,8 +139,6 @@ pub struct EventWorkloadConfig {
     /// cycle-accurate DRAM would dominate wall-clock. Cycle-accurate runs
     /// stay valid at small connection counts.
     pub backend: BackendKind,
-    /// Shard-settling worker threads (`0` = `SMARTDIMM_THREADS`).
-    pub threads: usize,
     /// Mean exponential think time between a connection's requests (ns).
     pub think_time_ns: u64,
     /// Per-request probability (‰) that the connection tears down after
@@ -191,7 +189,6 @@ impl Default for EventWorkloadConfig {
             interconnect_penalty_cycles: 0,
             placement: smartdimm::PlacementPolicy::Static,
             backend: BackendKind::FastQueue,
-            threads: 0,
             think_time_ns: 50_000,
             churn_permille: 0,
             reconnect_ns: 1_000_000,
@@ -242,7 +239,10 @@ impl std::fmt::Display for EventConfigError {
             EventConfigError::ZeroRequests => write!(f, "requests must be >= 1"),
             EventConfigError::ZeroObjects => write!(f, "objects must be >= 1"),
             EventConfigError::BadObjectSizes(lo, hi) => {
-                write!(f, "object sizes {lo}..={hi} outside 1..=65536 or empty")
+                write!(
+                    f,
+                    "object sizes {lo}..={hi} outside 1..={MAX_MSG_BYTES} or empty"
+                )
             }
             EventConfigError::ZeroChannels => write!(f, "at least one memory channel"),
             EventConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
@@ -273,7 +273,7 @@ impl EventWorkloadConfig {
             return Err(EventConfigError::ZeroObjects);
         }
         if self.min_object_bytes == 0
-            || self.max_object_bytes > 65536
+            || self.max_object_bytes > MAX_MSG_BYTES
             || self.min_object_bytes > self.max_object_bytes
         {
             return Err(EventConfigError::BadObjectSizes(
@@ -488,7 +488,6 @@ fn run_event_server_instrumented(
     host_cfg.mem.dram.topology.sockets = cfg.sockets.max(1);
     host_cfg.mem.dram.interconnect_penalty_cycles = cfg.interconnect_penalty_cycles;
     host_cfg.sched.policy = cfg.placement;
-    host_cfg.threads = cfg.threads;
     if let Some(pages) = cfg.scratchpad_pages {
         host_cfg.dimm.scratchpad_pages = pages;
     }
@@ -518,7 +517,6 @@ fn run_event_server_instrumented(
         interconnect_penalty_cycles: cfg.interconnect_penalty_cycles,
         placement: cfg.placement,
         backend: cfg.backend,
-        threads: cfg.threads,
     };
     let mut engine = Engine::new(kind, &engine_cfg);
     // CPU fallback path for admission control (always constructible).

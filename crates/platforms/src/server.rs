@@ -26,7 +26,7 @@ use cache::CacheConfig;
 use dram::{BackendKind, PhysAddr};
 use memsys::MemSystem;
 use simkit::DetRng;
-use smartdimm::{CompCpyHost, HostConfig, OffloadHandle, OffloadOp};
+use smartdimm::{CompCpyHost, HostConfig, OffloadHandle, OffloadOp, MAX_MSG_BYTES};
 use ulp_compress::corpus;
 use ulp_crypto::gcm::AesGcm;
 
@@ -113,11 +113,6 @@ pub struct WorkloadConfig {
     /// differential harness pins it — and trades timing fidelity for
     /// wall-clock speed on long sweeps.
     pub backend: BackendKind,
-    /// Worker threads for parallel channel-shard settling. `0` (the
-    /// default) defers to the `SMARTDIMM_THREADS` environment variable
-    /// (sequential when unset). Simulated results are byte-identical
-    /// for every value — only wall-clock changes ([`simkit::par`]).
-    pub threads: usize,
 }
 
 /// A degenerate [`WorkloadConfig`] caught by [`WorkloadConfig::validate`].
@@ -163,7 +158,7 @@ impl std::fmt::Display for WorkloadConfigError {
             }
             WorkloadConfigError::ZeroRequests => write!(f, "requests must be >= 1"),
             WorkloadConfigError::BadMessageSize(n) => {
-                write!(f, "message_bytes {n} outside 1..=65536")
+                write!(f, "message_bytes {n} outside 1..={MAX_MSG_BYTES}")
             }
             WorkloadConfigError::ZeroChannels => write!(f, "at least one memory channel"),
             WorkloadConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
@@ -182,7 +177,7 @@ impl WorkloadConfig {
     /// error, so a `workers: 0` misconfiguration fails with a message
     /// instead of a divide-by-zero deep inside the batch split.
     pub fn validate(&self) -> Result<(), WorkloadConfigError> {
-        if self.message_bytes == 0 || self.message_bytes > 65536 {
+        if self.message_bytes == 0 || self.message_bytes > MAX_MSG_BYTES {
             return Err(WorkloadConfigError::BadMessageSize(self.message_bytes));
         }
         if self.workers == 0 {
@@ -230,7 +225,6 @@ impl Default for WorkloadConfig {
             interconnect_penalty_cycles: 0,
             placement: smartdimm::PlacementPolicy::Static,
             backend: BackendKind::default(),
-            threads: 0,
         }
     }
 }
@@ -775,7 +769,6 @@ fn run_server_instrumented(
     host_cfg.mem.dram.topology.sockets = cfg.sockets.max(1);
     host_cfg.mem.dram.interconnect_penalty_cycles = cfg.interconnect_penalty_cycles;
     host_cfg.sched.policy = cfg.placement;
-    host_cfg.threads = cfg.threads;
     let mut host = CompCpyHost::new(host_cfg);
     if let Some(fault_seed) = cfg.fault_seed {
         let plan = simkit::FaultPlan::generate(fault_seed, cfg.requests as u64);

@@ -2,8 +2,7 @@
 //!
 //! Per-file rules ([`crate::rules`]) see one token stream; the rules
 //! here consume the whole-workspace [`CallGraph`] plus every file's
-//! [`FileContext`], and encode the access discipline the parallel-shard
-//! work (ROADMAP item 3) depends on:
+//! [`FileContext`], and encode the workspace's access discipline:
 //!
 //! | id            | invariant                                                      |
 //! |---------------|----------------------------------------------------------------|
@@ -56,7 +55,7 @@ const HOT_FILES: [&str; 4] = ["device.rs", "dsa.rs", "scratchpad.rs", "xlat.rs"]
 
 /// Files that make up the per-channel `SmartDimmDevice` shard. Code in
 /// these files runs "on the DIMM" and must stay oblivious to host-side
-/// state so a future scheduler can run one shard per worker thread.
+/// state: the host reaches the device only through memory commands.
 const SHARD_FILES: [&str; 6] = [
     "device.rs",
     "dsa.rs",
@@ -69,7 +68,7 @@ const SHARD_FILES: [&str; 6] = [
 /// Host-side identifiers shard code must never name. Touching any of
 /// these from inside the shard would mean a device model reaching
 /// across the channel boundary outside the memory-command protocol.
-const HOST_IDENTS: [&str; 11] = [
+const HOST_IDENTS: [&str; 10] = [
     "CompCpyHost",
     "MemSystem",
     "Llc",
@@ -79,7 +78,6 @@ const HOST_IDENTS: [&str; 11] = [
     "memsys",
     "device_on",
     "dimm_mut",
-    "dimms_mut",
     "install_dimm",
 ];
 
@@ -88,7 +86,7 @@ const HOST_IDENTS: [&str; 11] = [
 /// Inspection (stats/telemetry/translation-table reads) and fault
 /// injection are sanctioned; everything else must travel as memory
 /// commands so the shard boundary stays a message boundary.
-const SHARD_API: [&str; 16] = [
+const SHARD_API: [&str; 14] = [
     "stats",
     "free_pages",
     "occupancy_series",
@@ -103,8 +101,6 @@ const SHARD_API: [&str; 16] = [
     "inject_scratch_hog",
     "clear_injected",
     "config",
-    "settle",
-    "pending_feeds",
 ];
 
 /// Threading primitives `THREAD-DET` forbids outside the doorway.

@@ -14,7 +14,7 @@ use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig};
 use ulp_crypto::gcm::{AesGcm, Direction, OooGcm};
 
 use crate::configmem::OffloadStatus;
-use crate::PAGE;
+use crate::{MAX_MSG_BYTES, PAGE};
 
 /// Copies `N` bytes out of the context payload starting at `at`,
 /// without any panicking slice/array conversion.
@@ -112,7 +112,8 @@ impl OffloadOp {
 
     /// Full context decoding including the Compute-DMA flag. Returns
     /// `None` for a malformed payload (unknown op byte, oversized AAD
-    /// length, or a (de)compression length above one page): the device
+    /// length, a message above [`MAX_MSG_BYTES`], or a
+    /// (de)compression length above one page): the device
     /// must reject a corrupt MMIO context write, not fault on it.
     pub fn decode_context_full(p: &[u8; 48]) -> Option<(OffloadOp, usize, Vec<u8>, bool, bool)> {
         let dma_input = p[46] != 0;
@@ -123,6 +124,9 @@ impl OffloadOp {
         }
         let aad = p.get(2..2 + aad_len)?.to_vec();
         let msg_len = u64::from_le_bytes(take_arr(p, 9)?) as usize;
+        if msg_len > MAX_MSG_BYTES {
+            return None; // corrupt context: oversized message
+        }
         let op = match p[0] {
             0 | 1 => {
                 let key: [u8; 16] = take_arr(p, 17)?;

@@ -76,3 +76,8 @@ pub use sched::{PlacementPolicy, SchedConfig, SchedStats};
 pub const PAGE: usize = 4096;
 /// Cachelines per page.
 pub const LINES_PER_PAGE: usize = PAGE / 64;
+/// Largest message one offload may carry (64 KiB, the largest TLS
+/// record payload any workload offloads). The device rejects larger
+/// contexts and `CompCpyHost::comp_cpy` answers `BadSize`, so a
+/// host-written length can never size the DSA's per-line state.
+pub const MAX_MSG_BYTES: usize = 65536;

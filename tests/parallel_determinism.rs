@@ -1,28 +1,22 @@
-//! Parallel channel-shard execution must be invisible in simulated
-//! state: for the same seed, `threads=1` and `threads=N` runs must
-//! render byte-identical `telemetry/v1` snapshots, because the shard
-//! settle schedule is fixed by the host's command stream and the
-//! cross-channel event merge orders by `(cycle, channel, seq)` — keys
-//! no scheduler can perturb (see `simkit::par` and DESIGN.md §11).
-//!
-//! The sweep also pins the fault-injection oracle under `threads=4`:
-//! every scenario stays byte-exact against the software golden path and
-//! reproduces the exact trace of the sequential run.
+//! Report-level fan-out must be invisible in simulated state: running
+//! independent report entries through `simkit::par::run_indexed` on 1,
+//! 2 or 4 workers and mounting their scopes in index order must render
+//! byte-identical `telemetry/v1` snapshots. Each entry owns its host
+//! and seed, and results come back in input order, so no scheduler
+//! decision can reach the snapshot (see `simkit::par` and DESIGN.md
+//! §11).
 
 use cache::CacheConfig;
 use platforms::{run_server_with_telemetry, PlatformKind, UlpKind, WorkloadConfig};
-use simkit::telemetry::Registry;
-use simkit::{DetRng, FaultPlan};
-use smartdimm::{FaultOracle, HostConfig, OffloadOp};
+use simkit::telemetry::{Registry, Scope};
 
 /// Coarse interleave: whole pages pin to one channel, which is what
 /// lets non-size-preserving deflate offloads run on a 4-channel system.
 const COARSE: usize = 64;
 
-/// Renders the 4-channel TLS + deflate workloads into one snapshot with
-/// the given shard-settle worker count.
-fn snapshot_with_threads(threads: usize) -> String {
-    let mut reg = Registry::new();
+/// The 4-channel TLS (fine interleave) and deflate (coarse interleave)
+/// entries, each with its scope path.
+fn entries(seed: u64) -> Vec<(&'static str, WorkloadConfig)> {
     let tls = WorkloadConfig {
         message_bytes: 4096,
         connections: 16,
@@ -31,38 +25,45 @@ fn snapshot_with_threads(threads: usize) -> String {
         llc: Some(CacheConfig::mb(2, 16)),
         channels: 4,
         channel_interleave_lines: 1, // fine: every offload stripes across shards
-        threads,
+        seed,
         ..WorkloadConfig::default()
     };
-    run_server_with_telemetry(PlatformKind::SmartDimm, &tls, reg.scope("server.tls_ch4"));
     let deflate = WorkloadConfig {
         ulp: UlpKind::Compression,
         channel_interleave_lines: COARSE,
-        ..tls
+        ..tls.clone()
     };
-    run_server_with_telemetry(
-        PlatformKind::SmartDimm,
-        &deflate,
-        reg.scope("server.deflate_ch4"),
-    );
+    vec![("server.tls_ch4", tls), ("server.deflate_ch4", deflate)]
+}
+
+/// Runs the entries on a `workers`-wide fan-out and mounts each scope
+/// in index order, as `run_report` does.
+fn fanned_out_snapshot(workers: usize, seed: u64) -> String {
+    let (scopes, _) = simkit::par::run_indexed(workers, entries(seed), |_, (path, cfg)| {
+        let mut scope = Scope::default();
+        run_server_with_telemetry(PlatformKind::SmartDimm, &cfg, &mut scope);
+        (path, scope)
+    });
+    let mut reg = Registry::new();
+    for (path, scope) in scopes {
+        *reg.scope(path) = scope;
+    }
     reg.snapshot()
 }
 
 #[test]
 fn thread_count_never_changes_the_snapshot() {
-    let sequential = snapshot_with_threads(1);
+    let sequential = fanned_out_snapshot(1, 1);
     assert!(sequential.contains("\"schema\": \"telemetry/v1\""));
-    // The deterministic par counters must be present (and identical
-    // across thread counts); scheduler stats must not leak in.
-    assert!(sequential.contains("sync_points"));
-    assert!(sequential.contains("settled_lines"));
-    assert!(sequential.contains("merged_events"));
+    assert!(sequential.contains("\"tls_ch4\""));
+    assert!(sequential.contains("\"deflate_ch4\""));
+    // Scheduler stats belong to the `run_report/v1` wrapper only.
     assert!(!sequential.contains("steals"));
-    for threads in [2usize, 4] {
-        let parallel = snapshot_with_threads(threads);
+    for workers in [2usize, 4] {
         assert_eq!(
-            sequential, parallel,
-            "threads=1 vs threads={threads} snapshots diverged"
+            sequential,
+            fanned_out_snapshot(workers, 1),
+            "1 vs {workers} fan-out workers: snapshots diverged"
         );
     }
 }
@@ -71,82 +72,9 @@ fn thread_count_never_changes_the_snapshot() {
 fn perturbed_seed_actually_moves_the_snapshot() {
     // Guard against the byte-compare above being vacuous: a different
     // connection-scheduling seed must change at least one metric.
-    let mut reg = Registry::new();
-    let cfg = WorkloadConfig {
-        message_bytes: 4096,
-        connections: 16,
-        requests: 64,
-        ulp: UlpKind::Tls,
-        llc: Some(CacheConfig::mb(2, 16)),
-        channels: 4,
-        channel_interleave_lines: 1,
-        threads: 4,
-        seed: 2, // perturbed (default is 1)
-        ..WorkloadConfig::default()
-    };
-    run_server_with_telemetry(PlatformKind::SmartDimm, &cfg, reg.scope("server.tls_ch4"));
-    let perturbed = reg.snapshot();
-    let base = snapshot_with_threads(4);
-    let base_tls = base
-        .split("\"deflate_ch4\"")
-        .next()
-        .expect("base snapshot has the TLS scope");
-    assert!(!base_tls.is_empty());
     assert_ne!(
-        base, perturbed,
+        fanned_out_snapshot(4, 1),
+        fanned_out_snapshot(4, 2),
         "seed perturbation left the snapshot unchanged"
     );
-}
-
-/// One seeded fault plan driven through the differential oracle with
-/// the given worker count; returns the reproducibility trace.
-fn oracle_trace(seed: u64, threads: usize) -> Vec<String> {
-    const OPS: u64 = 5;
-    let mut cfg = HostConfig::default();
-    cfg.dimm.scratchpad_pages = 8;
-    cfg.dimm.xlat_entries = 48;
-    cfg.dimm.cam_entries = 4;
-    cfg.threads = threads;
-    let plan = FaultPlan::generate(seed, OPS);
-    let mut oracle = FaultOracle::new(cfg, plan);
-    let mut rng = DetRng::new(seed ^ 0x9A7);
-    let key = [0x5Du8; 16];
-    for i in 0..OPS {
-        let size = 64 + rng.gen_range(0..8000) as usize;
-        let msg = ulp_compress::corpus::text(size, rng.gen_range(0..u64::MAX));
-        let mut iv = [0u8; 12];
-        iv[..8].copy_from_slice(&(seed * 31 + i).to_le_bytes());
-        let op = if rng.gen_bool(0.5) {
-            OffloadOp::TlsEncrypt { key, iv }
-        } else {
-            OffloadOp::TlsDecrypt { key, iv }
-        };
-        // `check` panics on any byte mismatch vs the software oracle.
-        oracle.check(op, &msg, b"hdr9A7");
-        oracle.assert_occupancy_bound();
-    }
-    let mut trace = oracle.fired_log();
-    trace.extend(oracle.recoveries().iter().map(|r| format!("{r:?}")));
-    trace.push(format!(
-        "force_recycles={}",
-        oracle.organic_force_recycles()
-    ));
-    trace.push(format!("stats={:?}", oracle.host().device_stats()));
-    trace
-}
-
-#[test]
-fn fault_oracle_sweep_is_thread_count_invariant() {
-    let mut fired_any = 0u64;
-    for seed in 0..12u64 {
-        let parallel = oracle_trace(seed, 4);
-        let sequential = oracle_trace(seed, 1);
-        assert_eq!(
-            sequential, parallel,
-            "seed {seed}: fault trace diverged between threads=1 and threads=4"
-        );
-        fired_any += (parallel.len() > 2) as u64;
-    }
-    // The sweep must actually have injected faults, not vacuously passed.
-    assert!(fired_any >= 3, "only {fired_any}/12 plans fired any fault");
 }

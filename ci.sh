@@ -23,7 +23,7 @@ fi
 
 # Rustdoc gate: the API docs must build warning-clean (broken intra-doc
 # links, missing code-block languages, bad HTML all fail the build).
-# `simkit::par`, `simkit::events` and `dram::backend` additionally carry
+# `simkit::par` and `simkit::events` additionally carry
 # `#![deny(missing_docs)]`, so every public item there must be documented.
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q || status=1
@@ -41,36 +41,21 @@ fi
 echo "==> cargo build --release"
 cargo build --release || status=1
 
+# The root package is a workspace member, so this one step runs every
+# integration suite under tests/ as well as the crates' own tests,
+# among them:
+# - tests/topology.rs: 2-socket × 2-DIMM same-seed snapshot
+#   determinism, scheduler placement invariants (nothing feeds a
+#   DSA-less slot, occupancy+locality measurably shifts placements) and
+#   the per-socket interconnect counters (DESIGN.md §13);
+# - tests/event_server.rs: same-seed byte-identical snapshots, p99.9
+#   resolution at >10k connections, admission control that fires only
+#   above its pressure watermark, and goodput monotone non-increasing in
+#   churn (DESIGN.md §12);
+# - tests/multichannel.rs and tests/fault_injection.rs: cross-channel
+#   bounce recovery and the seeded fault-oracle sweeps, byte-exact.
 echo "==> cargo test --release --workspace"
 cargo test --release --workspace -q || status=1
-
-# Fidelity-tier gate: the differential harness runs every committed
-# workload (TLS/deflate/1-2-4-channel sweeps, 12 fault-injected oracle
-# seeds) on both memory backends, and the multichannel/fault suites
-# cover the fast backend's cross-channel bounce recovery directly. A
-# green run pins byte-identical payloads and identical functional
-# counters across tiers (DESIGN.md "Memory backend fidelity tiers").
-echo "==> fast-backend differential + multichannel/fault suites"
-cargo test --release --test backend_differential -q || status=1
-cargo test --release --test multichannel -q || status=1
-cargo test --release --test fault_injection -q || status=1
-
-# Scale-out topology gate: 2-socket × 2-DIMM same-seed snapshot
-# determinism, scheduler placement invariants (nothing feeds a
-# DSA-less slot, occupancy+locality measurably shifts placements), and
-# the per-socket interconnect counters (tests/topology.rs, DESIGN.md
-# §13). The ranks=2 oracle sweep rides in fault_injection above; the
-# run_report check below validates the committed sweep.topology_*
-# scopes and sched counters.
-echo "==> scale-out topology suite"
-cargo test --release --test topology -q || status=1
-
-# Event-driven tail-latency gate: same-seed byte-identical snapshots,
-# p99.9 resolution at >10k connections, admission control that fires
-# only above its pressure watermark, and goodput monotone non-increasing
-# in churn (tests/event_server.rs, DESIGN.md §12).
-echo "==> event-driven server suite"
-cargo test --release --test event_server -q || status=1
 
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
 # runs and BENCH_hotpaths.json is produced and parses (check mode).
@@ -83,21 +68,13 @@ cargo run --release -p bench --bin bench_hotpaths -q -- check || status=1
 # Run-report smoke: exercises the unified telemetry registry end to end,
 # including the placement × channel-count sweep (1/2/4 channels, §V-D)
 # with its per-channel device/scratchpad/xlat scopes, and the
-# event-driven tail-latency sweep (fast backend, reduced connection
-# count in smoke mode). Smoke mode writes target/run_report.smoke.json,
+# event-driven tail-latency sweep (reduced connection count in smoke
+# mode). Smoke mode writes target/run_report.smoke.json,
 # never the committed report; check mode then validates the committed
 # results/run_report.json still parses and covers every stat surface —
 # including the new sweep.tail_latency_* scopes (DESIGN.md §8, §12).
 echo "==> run_report smoke + check"
 cargo run --release -p bench --bin run_report -q -- smoke || status=1
 cargo run --release -p bench --bin run_report -q -- check || status=1
-
-# Backend differential report: smoke mode reruns every workload shape on
-# both backends (exits non-zero on any functional divergence) and writes
-# target/backend_differential.smoke.json; check mode validates the
-# committed results/backend_differential.json.
-echo "==> backend_differential smoke + check"
-cargo run --release -p bench --bin backend_differential -q -- smoke || status=1
-cargo run --release -p bench --bin backend_differential -q -- check || status=1
 
 exit "$status"

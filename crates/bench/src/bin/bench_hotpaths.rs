@@ -18,10 +18,9 @@
 //!    translation probe per 4 KB page).
 //! 5. `lz77_match_finder` — LZ77 tokenization: linear window scan
 //!    (`tokenize_linear`) vs the hash-chain matcher (`tokenize`).
-//! 6. `dram_backend_whole_sim` — the 4-channel run_report sweep on the
-//!    cycle-accurate FR-FCFS backend vs the fast fixed-latency tier.
-//! 7. `whole_sim_parallel` — the same sweep's independent entries run
-//!    back to back vs fanned out on a 4-worker `simkit::par` pool.
+//! 6. `whole_sim_parallel` — the 4-channel run_report sweep's
+//!    independent entries run back to back vs fanned out on a 4-worker
+//!    `simkit::par` pool.
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
 //! vary run to run. Modes:
@@ -39,7 +38,7 @@
 
 use bench::harness::{json_parses, median_ns_per_op, report, BenchSpec, HotPath};
 use cache::CacheConfig;
-use platforms::{run_server, BackendKind, PlatformKind, UlpKind, WorkloadConfig};
+use platforms::{run_server, PlatformKind, UlpKind, WorkloadConfig};
 use simkit::DetRng;
 use smartdimm::{CompCpyHost, HostConfig};
 use std::path::PathBuf;
@@ -49,13 +48,12 @@ use ulp_crypto::gcm::{AesGcm, Direction, OooGcm, CACHELINE};
 use ulp_crypto::gf128::Gf128;
 
 /// Rows `check` mode requires in the committed report.
-const REQUIRED_ROWS: [&str; 7] = [
+const REQUIRED_ROWS: [&str; 6] = [
     "gf128_mul",
     "aes_block",
     "ooo_gcm_4k",
     "compcpy_page_copy",
     "lz77_match_finder",
-    "dram_backend_whole_sim",
     "whole_sim_parallel",
 ];
 
@@ -254,57 +252,10 @@ fn bench_lz77(spec: BenchSpec, input_len: usize) -> HotPath {
     }
 }
 
-fn bench_backend_sweep(spec: BenchSpec, connections: usize, requests: usize) -> HotPath {
-    // One op = the 4-channel SmartDIMM slice of the `run_report` sweep
-    // (§V-D): TLS under fine interleave plus deflate under coarse
-    // interleave, end to end through the server harness. Both backends
-    // run the byte-identical workload — the differential harness pins
-    // the functional equality — so the ratio is pure simulator
-    // wall-clock: FR-FCFS bank state machines, bus turnaround and
-    // refresh vs the fixed-latency per-channel FIFO.
-    let run_sweep = |backend: BackendKind| {
-        let tls_cfg = WorkloadConfig {
-            message_bytes: 4096,
-            connections,
-            requests,
-            ulp: UlpKind::Tls,
-            llc: Some(CacheConfig::mb(2, 16)),
-            channels: 4,
-            channel_interleave_lines: 1,
-            backend,
-            ..WorkloadConfig::default()
-        };
-        let deflate_cfg = WorkloadConfig {
-            ulp: UlpKind::Compression,
-            channel_interleave_lines: 64,
-            ..tls_cfg.clone()
-        };
-        median_ns_per_op(spec, || {
-            let m = run_server(PlatformKind::SmartDimm, &tls_cfg);
-            assert!(m.rps > 0.0);
-            let m = run_server(PlatformKind::SmartDimm, &deflate_cfg);
-            assert!(m.rps > 0.0);
-        })
-    };
-    let before = run_sweep(BackendKind::CycleAccurate);
-    let after = run_sweep(BackendKind::FastQueue);
-    HotPath {
-        name: "dram_backend_whole_sim",
-        before_impl: "cycle-accurate FR-FCFS DramSystem (per-bank state machines)",
-        after_impl: "fast fixed-latency + per-channel-FIFO backend (FastDramSystem)",
-        work_units: format!(
-            "4-channel run_report sweep: TLS fine + deflate coarse, \
-             {connections} conns x {requests} reqs"
-        ),
-        before_ns_per_op: before,
-        after_ns_per_op: after,
-    }
-}
-
 fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize) -> HotPath {
     // One op = the 4-channel slice of the `run_report` sweep: four
-    // independent simulations (TLS on CPU and SmartDIMM under fine
-    // interleave, deflate under coarse, TLS on the fast backend).
+    // independent simulations (TLS on CPU and twice on SmartDIMM under
+    // fine interleave, deflate under coarse).
     // Before: the entries run one after another on the caller's
     // thread. After: the same entries fanned out on a 4-worker
     // `simkit::par` pool, exactly as `run_report` executes them. Each
@@ -328,15 +279,11 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
             channel_interleave_lines: 64,
             ..tls_cfg.clone()
         };
-        let fast_cfg = WorkloadConfig {
-            backend: BackendKind::FastQueue,
-            ..tls_cfg.clone()
-        };
         vec![
             (PlatformKind::Cpu, tls_cfg.clone()),
-            (PlatformKind::SmartDimm, tls_cfg),
+            (PlatformKind::SmartDimm, tls_cfg.clone()),
             (PlatformKind::SmartDimm, deflate_cfg),
-            (PlatformKind::SmartDimm, fast_cfg),
+            (PlatformKind::SmartDimm, tls_cfg),
         ]
     };
     let before = median_ns_per_op(spec, || {
@@ -355,8 +302,8 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
         before_impl: "sequential report builder (entries run back to back)",
         after_impl: "4-worker simkit::par fan-out (work-stealing deque, ordered mount)",
         work_units: format!(
-            "4-channel run_report entries: TLS cpu+smartdimm fine, deflate \
-             coarse, TLS fast-backend, {connections} conns x {requests} reqs"
+            "4-channel run_report entries: TLS cpu + 2x smartdimm fine, \
+             deflate coarse, {connections} conns x {requests} reqs"
         ),
         before_ns_per_op: before,
         after_ns_per_op: after,
@@ -415,7 +362,6 @@ fn main() -> ExitCode {
         bench_ooo_gcm(spec),
         bench_compcpy(spec, pages),
         bench_lz77(spec, lz_len),
-        bench_backend_sweep(spec, sweep_scale.0, sweep_scale.1),
         bench_whole_sim_parallel(spec, sweep_scale.0, sweep_scale.1),
     ];
     let mut rows = Vec::new();

@@ -66,13 +66,9 @@ const REQUIRED_SCOPES: &[&str] = &[
     "sweep.topology_cpu",
     "sweep.topology_static_smartdimm",
     "sweep.topology_sched_smartdimm",
-    // Fidelity-tier coverage: the 4-channel TLS sweep repeated on the
-    // fast fixed-latency backend (tier 1). The differential harness
-    // pins its functional equality with the accurate run above.
-    "sweep.tls_ch4_smartdimm_fast",
     // Event-driven tail-latency sweep: >10k zipfian closed-loop
-    // connections on the tier-1 backend, per placement, plus an
-    // admission-controlled row on a starved scratchpad.
+    // connections, per placement, plus an admission-controlled row on a
+    // starved scratchpad.
     "sweep.tail_latency_cpu",
     "sweep.tail_latency_smartnic",
     "sweep.tail_latency_quickassist",
@@ -106,12 +102,6 @@ const REQUIRED_METRICS: &[&str] = &[
     "\"channel0\"",
     "\"bounced_offloads\"",
     "\"cross_channel_rejects\"",
-    // Backend identity: every memsys export names its memory backend
-    // and fidelity tier, so snapshots are never compared across tiers
-    // by accident.
-    "\"fidelity_tier\"",
-    "\"cycle_accurate\"",
-    "\"fast_queue\"",
     // Scale-out topology surfaces: per-socket rollup scopes with the
     // interconnect CAS counter, and the offload scheduler's placement
     // accounting.
@@ -337,31 +327,9 @@ fn report_entries(connections: usize, requests: usize, transfer_bytes: u64) -> V
         });
     }
 
-    // Fidelity-tier row: the 4-channel TLS sweep once more on the fast
-    // backend. Same workload bytes, tier-1 timing — archived so report
-    // consumers can see both tiers side by side (and the `backend`
-    // scope marking each).
-    entries.push(Entry::Server {
-        kind: PlatformKind::SmartDimm,
-        cfg: WorkloadConfig {
-            message_bytes: 4096,
-            connections: sweep_conns,
-            requests: sweep_reqs,
-            ulp: UlpKind::Tls,
-            llc: Some(CacheConfig::mb(2, 16)),
-            channels: 4,
-            channel_interleave_lines: 1,
-            backend: platforms::BackendKind::FastQueue,
-            ..WorkloadConfig::default()
-        },
-        path: "sweep.tls_ch4_smartdimm_fast".to_string(),
-        label: "sweep/tls_ch4_smartdimm_fast".to_string(),
-    });
-
     // Event-driven tail-latency sweep: the full-mode scale is 10240
     // logical zipfian connections and 12000 requests — enough samples to
-    // resolve p999 — on the tier-1 fast backend (a cycle-accurate run at
-    // this concurrency would dominate the report's wall-clock).
+    // resolve p999.
     let event_conns = connections * 20;
     let event_reqs = requests * 6;
     let event_cfg = EventWorkloadConfig {

@@ -411,21 +411,41 @@ mod tests {
         #[test]
         fn prop_round_trip_arbitrary_topology(
             addr_line in 0u64..(1 << 24),
-            channels in 1usize..4,
+            sockets in 1usize..3,
+            channels_per_socket in 1usize..4,
             ranks in 1usize..3,
             dimms in 1usize..3,
             gran_log in 0u32..3,
+            channel_pick in 0usize..64,
+            rank_pick in 0usize..64,
+            bank_index in 0usize..16,
+            row in 0usize..(1 << 15),
+            col in 0usize..128,
         ) {
             let topo = DramTopology {
-                channels,
+                channels: sockets * channels_per_socket,
                 ranks,
                 dimms_per_channel: dimms,
+                sockets,
                 channel_interleave_lines: 1 << gran_log,
                 ..DramTopology::default()
             };
             let mapper = AddressMapper::new(topo);
+            // Every address below capacity (2^26+ lines here) survives
+            // decode → encode ...
             let a = PhysAddr(addr_line * 64);
             prop_assert_eq!(mapper.encode(&mapper.decode(a)), a);
+            // ... and every in-range location survives encode → decode,
+            // so the map is a bijection over the whole topology.
+            let loc = Loc {
+                channel: channel_pick % topo.channels,
+                rank: rank_pick % topo.ranks_per_channel(),
+                bg: bank_index / topo.banks_per_group,
+                bank: bank_index % topo.banks_per_group,
+                row,
+                col,
+            };
+            prop_assert_eq!(mapper.decode(mapper.encode(&loc)), loc);
         }
 
         #[test]

@@ -26,14 +26,12 @@
 //! ```
 
 pub mod addr;
-pub mod backend;
 pub mod bank;
 pub mod controller;
 pub mod dimm;
 pub mod timing;
 
 pub use addr::{AddressMapper, DramTopology, Loc, PhysAddr};
-pub use backend::{BackendKind, FastDramSystem, MemoryBackend};
 pub use controller::{DramStats, DramSystem, MemorySystemConfig};
 pub use dimm::{BufferDevice, CasInfo, Dimm, Passthrough, RdResult, WrResult};
 pub use timing::Timing;

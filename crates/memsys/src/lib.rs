@@ -32,10 +32,8 @@
 //! ```
 
 use cache::{CacheConfig, Llc};
-use dram::{MemorySystemConfig, PhysAddr, CACHELINE};
+use dram::{DramSystem, MemorySystemConfig, PhysAddr, CACHELINE};
 use simkit::{Cycle, DetRng};
-
-pub use dram::{BackendKind, MemoryBackend};
 
 /// CPU-side operation costs, in DDR command-clock cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,11 +82,6 @@ impl Default for CostModel {
 pub struct MemConfig {
     /// DRAM topology / timing / tracing.
     pub dram: MemorySystemConfig,
-    /// Memory-backend fidelity tier: the cycle-accurate FR-FCFS
-    /// controller (default) or the fixed-latency + per-channel-FIFO
-    /// fast model. Functional behaviour is identical by contract (the
-    /// differential harness pins it); only timing fidelity differs.
-    pub backend: BackendKind,
     /// LLC geometry. Default: 16 MB, 16-way (a contended slice of a
     /// server LLC).
     pub llc: Option<CacheConfig>,
@@ -115,7 +108,6 @@ impl Default for MemConfig {
     fn default() -> Self {
         MemConfig {
             dram: MemorySystemConfig::default(),
-            backend: BackendKind::default(),
             llc: None,
             cost: CostModel::default(),
             batch_page_copy: true,
@@ -165,7 +157,7 @@ pub struct BackgroundTraffic {
 /// The host memory system.
 pub struct MemSystem {
     llc: Llc,
-    dram: Box<dyn MemoryBackend>,
+    dram: DramSystem,
     cost: CostModel,
     bg: Option<(BackgroundTraffic, DetRng)>,
     bg_acc: f64,
@@ -200,7 +192,7 @@ impl MemSystem {
         let llc_cfg = config.llc.unwrap_or_else(|| CacheConfig::mb(16, 16));
         MemSystem {
             llc: Llc::new(llc_cfg),
-            dram: config.backend.build(config.dram),
+            dram: DramSystem::new(config.dram),
             cost: config.cost,
             bg: None,
             bg_acc: 0.0,
@@ -315,16 +307,14 @@ impl MemSystem {
         &mut self.llc
     }
 
-    /// The memory backend (for statistics, traces and DIMM
-    /// installation). Which fidelity tier sits behind the trait is a
-    /// [`MemConfig::backend`] decision.
-    pub fn dram(&self) -> &dyn MemoryBackend {
-        &*self.dram
+    /// The DRAM system (for statistics, traces and DIMM installation).
+    pub fn dram(&self) -> &DramSystem {
+        &self.dram
     }
 
-    /// Mutable memory-backend access.
-    pub fn dram_mut(&mut self) -> &mut dyn MemoryBackend {
-        &mut *self.dram
+    /// Mutable DRAM-system access.
+    pub fn dram_mut(&mut self) -> &mut DramSystem {
+        &mut self.dram
     }
 
     /// The CPU cost model.
@@ -345,26 +335,16 @@ impl MemSystem {
         );
         self.llc.export_telemetry(scope.scope("llc"));
         self.dram.export_telemetry(scope.scope("dram"));
-        // Backend identity: which fidelity tier produced this snapshot.
-        // Telemetry is numeric-only, so the identity string doubles as a
-        // metric name with value 1.
-        let backend = scope.scope("backend");
-        backend.set_counter("fidelity_tier", self.dram.fidelity().fidelity_tier());
-        backend.set_counter(self.dram.fidelity().as_str(), 1);
-    }
-
-    fn fill_from_dram(dram: &mut dyn MemoryBackend, addr: PhysAddr, tag: u64) -> ([u8; 64], u64) {
-        dram.read64_tagged(addr, tag)
     }
 
     /// Loads one cacheline through the LLC, advancing time by the hit or
     /// miss latency.
     pub fn load_line(&mut self, addr: PhysAddr, class: usize) -> [u8; 64] {
         self.bg_tick();
-        let dram = &mut *self.dram;
+        let dram = &mut self.dram;
         let mut miss_latency = 0u64;
         let (data, ev) = self.llc.read_line(addr, class, |a| {
-            let (d, lat) = Self::fill_from_dram(dram, a, class as u64);
+            let (d, lat) = dram.read64_tagged(a, class as u64);
             miss_latency = lat;
             d
         });

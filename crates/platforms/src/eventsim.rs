@@ -48,7 +48,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use cache::CacheConfig;
-use dram::BackendKind;
 use simkit::{Cycle, DetRng, EventQueue, Histogram};
 use smartdimm::{CompCpyHost, HostConfig, MAX_MSG_BYTES};
 use ulp_compress::corpus;
@@ -134,11 +133,6 @@ pub struct EventWorkloadConfig {
     pub interconnect_penalty_cycles: u64,
     /// Offload placement policy (see [`smartdimm::sched`]).
     pub placement: smartdimm::PlacementPolicy,
-    /// Memory-backend fidelity tier. Defaults to the tier-1 fast queue
-    /// model: the event harness exists for high-concurrency sweeps where
-    /// cycle-accurate DRAM would dominate wall-clock. Cycle-accurate runs
-    /// stay valid at small connection counts.
-    pub backend: BackendKind,
     /// Mean exponential think time between a connection's requests (ns).
     pub think_time_ns: u64,
     /// Per-request probability (‰) that the connection tears down after
@@ -188,7 +182,6 @@ impl Default for EventWorkloadConfig {
             sockets: 1,
             interconnect_penalty_cycles: 0,
             placement: smartdimm::PlacementPolicy::Static,
-            backend: BackendKind::FastQueue,
             think_time_ns: 50_000,
             churn_permille: 0,
             reconnect_ns: 1_000_000,
@@ -225,6 +218,9 @@ pub enum EventConfigError {
     ZeroDimms,
     /// `sockets` is zero or does not divide `channels` evenly.
     BadSockets(usize, usize),
+    /// `channel_interleave_lines` is neither 0 (treated as 1) nor a
+    /// power of two.
+    BadInterleave(usize),
     /// `churn_permille` or `slow_client_permille` above 1000.
     BadPermille(u64),
     /// `inflight_window == 0`.
@@ -248,6 +244,9 @@ impl std::fmt::Display for EventConfigError {
             EventConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
             EventConfigError::BadSockets(ch, so) => {
                 write!(f, "{ch} channels cannot split evenly across {so} sockets")
+            }
+            EventConfigError::BadInterleave(n) => {
+                write!(f, "channel_interleave_lines {n} is not a power of two")
             }
             EventConfigError::BadPermille(v) => write!(f, "permille {v} above 1000"),
             EventConfigError::ZeroWindow => write!(f, "inflight_window must be >= 1"),
@@ -289,6 +288,11 @@ impl EventWorkloadConfig {
         }
         if self.sockets == 0 || !self.channels.is_multiple_of(self.sockets) {
             return Err(EventConfigError::BadSockets(self.channels, self.sockets));
+        }
+        if !self.channel_interleave_lines.max(1).is_power_of_two() {
+            return Err(EventConfigError::BadInterleave(
+                self.channel_interleave_lines,
+            ));
         }
         for p in [self.churn_permille, self.slow_client_permille] {
             if p > 1000 {
@@ -481,7 +485,6 @@ fn run_event_server_instrumented(
 
     let mut host_cfg = HostConfig::default();
     host_cfg.mem.llc = cfg.llc;
-    host_cfg.mem.backend = cfg.backend;
     host_cfg.mem.dram.topology.channels = cfg.channels;
     host_cfg.mem.dram.topology.channel_interleave_lines = cfg.channel_interleave_lines.max(1);
     host_cfg.mem.dram.topology.dimms_per_channel = cfg.dimms_per_channel.max(1);
@@ -516,7 +519,6 @@ fn run_event_server_instrumented(
         sockets: cfg.sockets,
         interconnect_penalty_cycles: cfg.interconnect_penalty_cycles,
         placement: cfg.placement,
-        backend: cfg.backend,
     };
     let mut engine = Engine::new(kind, &engine_cfg);
     // CPU fallback path for admission control (always constructible).
@@ -795,6 +797,11 @@ mod tests {
             ..EventWorkloadConfig::default()
         };
         assert_eq!(bad.validate(), Err(EventConfigError::BadPermille(1001)));
+        let bad = EventWorkloadConfig {
+            channel_interleave_lines: 3,
+            ..EventWorkloadConfig::default()
+        };
+        assert_eq!(bad.validate(), Err(EventConfigError::BadInterleave(3)));
     }
 
     #[test]

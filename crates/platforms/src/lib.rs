@@ -28,7 +28,6 @@ pub mod eventsim;
 pub mod params;
 pub mod server;
 
-pub use dram::BackendKind;
 pub use eventsim::{
     run_event_server, run_event_server_with_telemetry, AdmissionConfig, AdmissionPolicy,
     EventConfigError, EventServerMetrics, EventWorkloadConfig,

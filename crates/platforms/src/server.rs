@@ -23,7 +23,7 @@
 //! `RPS = min(workers/avg_latency, link, accelerator)`.
 
 use cache::CacheConfig;
-use dram::{BackendKind, PhysAddr};
+use dram::PhysAddr;
 use memsys::MemSystem;
 use simkit::DetRng;
 use smartdimm::{CompCpyHost, HostConfig, OffloadHandle, OffloadOp, MAX_MSG_BYTES};
@@ -108,11 +108,6 @@ pub struct WorkloadConfig {
     pub interconnect_penalty_cycles: u64,
     /// Offload placement policy (see [`smartdimm::sched`]).
     pub placement: smartdimm::PlacementPolicy,
-    /// Memory-backend fidelity tier (default cycle-accurate). The fast
-    /// queue model is functionally identical by contract — the
-    /// differential harness pins it — and trades timing fidelity for
-    /// wall-clock speed on long sweeps.
-    pub backend: BackendKind,
 }
 
 /// A degenerate [`WorkloadConfig`] caught by [`WorkloadConfig::validate`].
@@ -137,6 +132,9 @@ pub enum WorkloadConfigError {
     ZeroDimms,
     /// `sockets` is zero or does not divide `channels` evenly.
     BadSockets(usize, usize),
+    /// `channel_interleave_lines` is neither 0 (treated as 1) nor a
+    /// power of two.
+    BadInterleave(usize),
 }
 
 impl std::fmt::Display for WorkloadConfigError {
@@ -164,6 +162,9 @@ impl std::fmt::Display for WorkloadConfigError {
             WorkloadConfigError::ZeroDimms => write!(f, "at least one DIMM per channel"),
             WorkloadConfigError::BadSockets(ch, so) => {
                 write!(f, "{ch} channels cannot split evenly across {so} sockets")
+            }
+            WorkloadConfigError::BadInterleave(n) => {
+                write!(f, "channel_interleave_lines {n} is not a power of two")
             }
         }
     }
@@ -201,6 +202,11 @@ impl WorkloadConfig {
         if self.sockets == 0 || !self.channels.is_multiple_of(self.sockets) {
             return Err(WorkloadConfigError::BadSockets(self.channels, self.sockets));
         }
+        if !self.channel_interleave_lines.max(1).is_power_of_two() {
+            return Err(WorkloadConfigError::BadInterleave(
+                self.channel_interleave_lines,
+            ));
+        }
         Ok(())
     }
 }
@@ -224,7 +230,6 @@ impl Default for WorkloadConfig {
             sockets: 1,
             interconnect_penalty_cycles: 0,
             placement: smartdimm::PlacementPolicy::Static,
-            backend: BackendKind::default(),
         }
     }
 }
@@ -762,7 +767,6 @@ fn run_server_instrumented(
     }
     let mut host_cfg = HostConfig::default();
     host_cfg.mem.llc = cfg.llc;
-    host_cfg.mem.backend = cfg.backend;
     host_cfg.mem.dram.topology.channels = cfg.channels;
     host_cfg.mem.dram.topology.channel_interleave_lines = cfg.channel_interleave_lines.max(1);
     host_cfg.mem.dram.topology.dimms_per_channel = cfg.dimms_per_channel.max(1);
@@ -1044,6 +1048,13 @@ mod tests {
                     ..WorkloadConfig::default()
                 },
                 WorkloadConfigError::ZeroChannels,
+            ),
+            (
+                WorkloadConfig {
+                    channel_interleave_lines: 3,
+                    ..WorkloadConfig::default()
+                },
+                WorkloadConfigError::BadInterleave(3),
             ),
         ];
         for (cfg, want) in cases {

@@ -68,13 +68,11 @@ const SHARD_FILES: [&str; 6] = [
 /// Host-side identifiers shard code must never name. Touching any of
 /// these from inside the shard would mean a device model reaching
 /// across the channel boundary outside the memory-command protocol.
-const HOST_IDENTS: [&str; 10] = [
+const HOST_IDENTS: [&str; 8] = [
     "CompCpyHost",
     "MemSystem",
     "Llc",
     "DramSystem",
-    "FastDramSystem",
-    "MemoryBackend",
     "memsys",
     "device_on",
     "dimm_mut",
@@ -127,17 +125,6 @@ const SET_METHODS: [&str; 4] = [
     "set_gauge",
     "set_histogram",
     "set_time_series",
-];
-
-/// Metric names that appear in `results/run_report.json` but are
-/// registered with a *computed* (non-literal) name in code, so the
-/// report→code direction of TELEM-CONS cannot see them. Each entry
-/// documents where the dynamic registration lives.
-const TELEM_DYNAMIC: [&str; 2] = [
-    // memsys::export_telemetry registers the backend identity counter
-    // as `backend.set_counter(self.dram.fidelity().as_str(), 1)`.
-    "cycle_accurate",
-    "fast_queue",
 ];
 
 /// Metric names registered in code but intentionally absent from the
@@ -428,8 +415,8 @@ struct TelemReg {
 /// 2. every literal name must appear as a metric leaf in the committed
 ///    `results/run_report.json` (minus [`TELEM_SMOKE_ONLY`]);
 /// 3. every metric leaf in the report must be registered by some
-///    literal in code (minus [`TELEM_DYNAMIC`]) — a leaf with no
-///    registration means the committed report has drifted.
+///    literal in code — a leaf with no registration means the
+///    committed report has drifted.
 fn telem_cons(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     let regs = collect_regs(ws);
     let evidence = mutation_evidence(ws);
@@ -479,10 +466,7 @@ fn telem_cons(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
     // Check 3: report → code (report line anchors).
     let mut seen = BTreeSet::new();
     for (name, line) in &leaves {
-        if !seen.insert(name.as_str())
-            || code_names.contains(name.as_str())
-            || TELEM_DYNAMIC.contains(&name.as_str())
-        {
+        if !seen.insert(name.as_str()) || code_names.contains(name.as_str()) {
             continue;
         }
         diags.push(Diagnostic {
@@ -523,8 +507,8 @@ fn collect_regs(ws: &Workspace) -> Vec<TelemReg> {
             let Some(close) = matching_paren(toks, i + 1) else {
                 continue;
             };
-            // Literal first argument only; dynamic names are covered by
-            // the TELEM_DYNAMIC allowlist on the report side.
+            // Literal first argument only: a computed name could not be
+            // matched against the report.
             let Some(name_tok) = toks.get(i + 2).filter(|a| a.kind == TokKind::Str) else {
                 continue;
             };

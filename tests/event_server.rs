@@ -166,9 +166,9 @@ fn fault_injected_fallback_run_holds_invariants() {
 }
 
 #[test]
-fn ten_thousand_connections_resolve_p999_on_the_fast_backend() {
-    // The acceptance-scale workload: >10k logical zipfian connections on
-    // the tier-1 backend, enough completions to resolve p999.
+fn ten_thousand_connections_resolve_p999() {
+    // The acceptance-scale workload: >10k logical zipfian connections,
+    // enough completions to resolve p999.
     let cfg = EventWorkloadConfig {
         connections: 10_240,
         requests: 1100,

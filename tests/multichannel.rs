@@ -173,43 +173,6 @@ fn cross_channel_offloads_under_fault_injection() {
     }
 }
 
-#[test]
-fn cross_channel_fault_recovery_on_the_fast_backend() {
-    // The same 12-seed sweep on the fast fixed-latency backend
-    // (fidelity tier 1): cross-channel bounce staging, fault injection
-    // and `finish_bounce` retries are protocol logic above the memory
-    // model, so every scenario must stay byte-exact there too. The
-    // differential harness (tests/backend_differential.rs) additionally
-    // pins the recovery counters equal across backends.
-    for seed in 0..12u64 {
-        let plan = FaultPlan::generate(seed, 4);
-        let mut cfg = HostConfig::default();
-        cfg.mem.backend = memsys::BackendKind::FastQueue;
-        cfg.mem.dram.topology = DramTopology {
-            channels: 2,
-            channel_interleave_lines: COARSE,
-            ..DramTopology::default()
-        };
-        cfg.dimm.scratchpad_pages = 16;
-        cfg.dimm.xlat_entries = 64;
-        cfg.dimm.cam_entries = 4;
-        let mut oracle = FaultOracle::new(cfg, plan);
-        let key = [0x5Cu8; 16];
-        for i in 0..4u64 {
-            let size = 600 + (seed * 977 + i * 4099) as usize % 7000;
-            let msg = ulp_compress::corpus::text(size, seed * 31 + i);
-            let mut iv = [0u8; 12];
-            iv[..8].copy_from_slice(&(seed * 100 + i).to_le_bytes());
-            oracle.check(OffloadOp::TlsEncrypt { key, iv }, &msg, b"hdr#f");
-            oracle.assert_occupancy_bound();
-        }
-        assert!(
-            oracle.host().bounced_offload_count() >= 1,
-            "seed {seed}: no offload exercised the bounce path on the fast backend"
-        );
-    }
-}
-
 /// Runs a fixed multi-channel workload and snapshots its telemetry.
 fn channel_snapshot(channels: usize, interleave: usize) -> String {
     let mut host = host_with(channels, interleave);

@@ -57,6 +57,14 @@ cargo build --release || status=1
 echo "==> cargo test --release --workspace"
 cargo test --release --workspace -q || status=1
 
+# The benchmark under perfbench/ is a workspace of its own that builds
+# against the crates by path, so the steps above never compile it: an
+# API change that breaks the benchmark would otherwise surface only
+# when the benchmark runs.
+echo "==> perfbench build + test"
+cargo build --offline --release --manifest-path perfbench/Cargo.toml || status=1
+cargo test --offline --manifest-path perfbench/Cargo.toml || status=1
+
 # Hot-path bench smoke: tiny iteration counts — asserts the harness
 # runs and BENCH_hotpaths.json is produced and parses (check mode).
 # Ratios in smoke mode are not meaningful; committed numbers come from

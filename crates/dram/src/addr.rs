@@ -217,15 +217,7 @@ impl AddressMapper {
     /// granularity; the 6 offset bits are dropped).
     pub fn decode(&self, addr: PhysAddr) -> Loc {
         let t = &self.topo;
-        let mut line = addr.0 >> 6;
-        // Channel bits sit above `channel_interleave_lines` lines.
-        let gran = t.channel_interleave_lines as u64;
-        let within = line % gran;
-        line /= gran;
-        let channel = (line % t.channels as u64) as usize;
-        line /= t.channels as u64;
-        let line = line * gran + within;
-
+        let (channel, line) = self.split_line(addr.0 >> 6);
         let bg = (line % t.bank_groups as u64) as usize;
         let rest = line / t.bank_groups as u64;
         let bank = (rest % t.banks_per_group as u64) as usize;
@@ -256,12 +248,41 @@ impl AddressMapper {
         line = line * t.lines_per_row as u64 + loc.col as u64;
         line = line * t.banks_per_group as u64 + loc.bank as u64;
         line = line * t.bank_groups as u64 + loc.bg as u64;
+        PhysAddr(self.join_line(loc.channel, line) << 6)
+    }
 
-        let gran = t.channel_interleave_lines as u64;
-        let within = line % gran;
-        let blocks = line / gran;
-        let line = (blocks * t.channels as u64 + loc.channel as u64) * gran + within;
-        PhysAddr(line << 6)
+    /// The channel the cacheline containing `addr` decodes to.
+    #[inline]
+    pub fn channel_of(&self, addr: PhysAddr) -> usize {
+        self.split_line(addr.0 >> 6).0
+    }
+
+    /// Bytes in one channel-interleave period: every channel's
+    /// `channel_interleave_lines`-line run, once. Two addresses at the
+    /// same offset within the period decode to the same channel line by
+    /// line.
+    pub fn interleave_period(&self) -> u64 {
+        (self.topo.channels * self.topo.channel_interleave_lines * 64) as u64
+    }
+
+    /// Splits a physical cacheline index into its channel and its index
+    /// among the lines that channel owns (the channel-private line).
+    /// Channel bits sit above `channel_interleave_lines` lines.
+    #[inline]
+    pub fn split_line(&self, line: u64) -> (usize, u64) {
+        let gran = self.topo.channel_interleave_lines as u64;
+        let channels = self.topo.channels as u64;
+        let block = line / gran;
+        let channel = (block % channels) as usize;
+        (channel, block / channels * gran + line % gran)
+    }
+
+    /// Inverse of [`AddressMapper::split_line`]: the physical cacheline
+    /// index of channel-private line `private` on `channel`.
+    #[inline]
+    pub fn join_line(&self, channel: usize, private: u64) -> u64 {
+        let gran = self.topo.channel_interleave_lines as u64;
+        ((private / gran) * self.topo.channels as u64 + channel as u64) * gran + private % gran
     }
 }
 
@@ -446,6 +467,22 @@ mod tests {
                 col,
             };
             prop_assert_eq!(mapper.decode(mapper.encode(&loc)), loc);
+            // The channel split/join agrees with decode/encode ...
+            let (channel, private) = mapper.split_line(addr_line);
+            prop_assert_eq!(channel, mapper.decode(a).channel);
+            prop_assert_eq!(mapper.channel_of(PhysAddr(a.0 + 63)), channel);
+            prop_assert_eq!(mapper.split_line(mapper.encode(&loc).0 >> 6).0, loc.channel);
+            // ... the channel-private line alone fixes every other field ...
+            let moved = mapper.decode(PhysAddr(mapper.join_line(loc.channel, private) << 6));
+            prop_assert_eq!(moved, Loc { channel: loc.channel, ..mapper.decode(a) });
+            // ... the channel-private line mapping round-trips ...
+            prop_assert_eq!(mapper.join_line(channel, private), addr_line);
+            let joined = mapper.join_line(loc.channel, private);
+            prop_assert_eq!(mapper.split_line(joined), (loc.channel, private));
+            // ... and a whole interleave period later every line keeps
+            // its channel.
+            let later = PhysAddr(a.0 + mapper.interleave_period());
+            prop_assert_eq!(mapper.channel_of(later), channel);
         }
 
         #[test]

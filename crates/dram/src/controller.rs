@@ -291,7 +291,6 @@ impl DramSystem {
         scope.set_counter("refreshes", self.stats.refreshes.value());
         scope.set_counter("bytes_transferred", self.stats.bytes_transferred());
         scope.set_counter("trace_records", self.trace.records().len() as u64);
-        scope.set_counter("trace_dropped_records", self.trace.dropped_records());
         scope.set_counter("remote_accesses", self.stats.remote_accesses.value());
         for (i, ch) in self.channels.iter().enumerate() {
             let s = scope.scope(&format!("channel{i}"));

@@ -222,12 +222,6 @@ impl MemSystem {
         self.deferred_wb.len()
     }
 
-    /// Flushes whose writebacks the installed fault injector disturbed
-    /// (zero without a fault plan).
-    pub fn fault_disturbance_count(&self) -> u64 {
-        self.fault_disturbances
-    }
-
     /// Delivers every deferred writeback to DRAM. Returns how many were
     /// drained.
     pub fn drain_writebacks(&mut self) -> usize {

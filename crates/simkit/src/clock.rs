@@ -206,11 +206,6 @@ impl SimClock {
     pub fn elapsed_ns(&self) -> f64 {
         self.freq.cycles_to_ns(self.now.0)
     }
-
-    /// Elapsed simulated time in seconds since time zero.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.freq.cycles_to_secs(self.now.0)
-    }
 }
 
 #[cfg(test)]

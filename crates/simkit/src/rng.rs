@@ -66,11 +66,6 @@ impl DetRng {
         result
     }
 
-    /// Returns the next 32 random bits (one raw draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly distributed value in `range` (one raw draw).
     ///
     /// Uses Lemire's multiply-shift reduction; the modulo bias is

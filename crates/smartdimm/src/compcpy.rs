@@ -116,10 +116,53 @@ pub struct OffloadHandle {
 }
 
 impl OffloadHandle {
+    /// The handle of a registered offload; `home` is the shard that saw
+    /// every effective source line, if one did.
+    fn new(
+        id: u64,
+        dbuf: PhysAddr,
+        sbuf: PhysAddr,
+        size: usize,
+        op: OffloadOp,
+        aad: &[u8],
+        home: Option<usize>,
+    ) -> OffloadHandle {
+        let mut aad_buf = [0u8; 7];
+        aad_buf[..aad.len()].copy_from_slice(aad);
+        OffloadHandle {
+            id,
+            dbuf,
+            sbuf,
+            size,
+            op,
+            aad: aad_buf,
+            aad_len: aad.len() as u8,
+            home: home.map(|c| c as u16),
+        }
+    }
+
     /// The AAD bytes supplied at offload time.
     pub fn aad_bytes(&self) -> &[u8] {
         &self.aad[..self.aad_len as usize]
     }
+}
+
+/// Pool key of a staging region: its target channel (`None` for a
+/// region phase-matched to its source), its phase within the
+/// channel-interleave period (`0` for a targeted region) and its length
+/// in pages.
+type StagingKey = (Option<usize>, u64, u64);
+
+/// A staging region taken from the pool, with the key it returns under.
+#[derive(Debug, Clone, Copy)]
+struct Staging {
+    addr: PhysAddr,
+    key: StagingKey,
+}
+
+/// The cacheline addresses covering `[base, base+size)`.
+fn lines(base: PhysAddr, size: usize) -> impl Iterator<Item = PhysAddr> {
+    (0..size.div_ceil(64) as u64).map(move |l| PhysAddr(base.0 + l * 64))
 }
 
 /// The CompCpy host runtime.
@@ -128,21 +171,16 @@ pub struct CompCpyHost {
     config_base: PhysAddr,
     result_slots: usize,
     channels: usize,
-    interleave_lines: usize,
     /// Algorithm 2's lock-protected lazy scratchpad-space tracker.
     free_pages: DetMutex<i64>,
     next_id: u64,
     alloc_next: u64,
-    /// Phase-matched bounce regions for cross-channel offloads, pooled
-    /// for reuse keyed by `(phase within the interleave period, pages)`.
-    bounce_pool: BTreeMap<(u64, u64), Vec<PhysAddr>>,
+    /// Free staging regions — cross-channel bounce buffers and the
+    /// scheduler's home regions — pooled for reuse by [`StagingKey`].
+    staging_pool: BTreeMap<StagingKey, Vec<PhysAddr>>,
     /// Offloads routed through a bounce buffer because the caller's
     /// sbuf/dbuf pair interleaved across different channels (§V-D).
     bounced_offloads: u64,
-    /// Device-visible staging ("home") regions for offloads whose
-    /// source touched a DSA-less DIMM slot or that the scheduler
-    /// migrated, pooled by `(target channel or `usize::MAX`, pages)`.
-    home_pool: BTreeMap<(usize, u64), Vec<PhysAddr>>,
     /// Placement-decision counters (see [`crate::sched::SchedStats`]).
     sched_stats: SchedStats,
     /// Scheduler policy and tuning.
@@ -193,13 +231,11 @@ impl CompCpyHost {
             config_base: config.dimm.config_base,
             result_slots: config.dimm.result_slots,
             channels: topo.channels,
-            interleave_lines: topo.channel_interleave_lines,
             free_pages: DetMutex::new(-1), // Algorithm 2 line 1
             next_id: 1,
             alloc_next: 0x0010_0000, // driver pool starts at 1 MB
-            bounce_pool: BTreeMap::new(),
+            staging_pool: BTreeMap::new(),
             bounced_offloads: 0,
-            home_pool: BTreeMap::new(),
             sched_stats: SchedStats::default(),
             sched: config.sched,
             mapper: AddressMapper::new(topo),
@@ -288,12 +324,6 @@ impl CompCpyHost {
         self.bounced_offloads
     }
 
-    /// Preparation faults the installed injector armed and this host
-    /// applied (zero unless a [`simkit::FaultPlan`] is installed).
-    pub fn injected_fault_count(&self) -> u64 {
-        self.injected_faults
-    }
-
     /// Placement-decision counters accumulated so far (see
     /// [`crate::sched::SchedStats`]). Deterministic: decisions depend
     /// only on simulated state.
@@ -311,19 +341,26 @@ impl CompCpyHost {
     /// §IV-C xlat-occupancy bound are exactly the two resources that
     /// degrade first when offloads queue faster than they are used.
     pub fn queue_pressure(&mut self) -> QueuePressure {
-        let mut scratch_free_fraction = 1.0f64;
-        let mut xlat_occupancy = 0.0f64;
-        for ch in 0..self.channels {
-            let dev = self.device_on(ch);
-            let cap = dev.config().scratchpad_pages.max(1);
-            let free = dev.free_pages() as f64 / cap as f64;
-            let occ = dev.xlat().occupancy();
-            scratch_free_fraction = scratch_free_fraction.min(free);
-            xlat_occupancy = xlat_occupancy.max(occ);
-        }
+        let empty = QueuePressure {
+            scratch_free_fraction: 1.0,
+            xlat_occupancy: 0.0,
+        };
+        (0..self.channels)
+            .map(|ch| self.shard_pressure(ch))
+            .fold(empty, |worst, s| QueuePressure {
+                scratch_free_fraction: worst.scratch_free_fraction.min(s.scratch_free_fraction),
+                xlat_occupancy: worst.xlat_occupancy.max(s.xlat_occupancy),
+            })
+    }
+
+    /// One shard's pressure sample, the per-channel input of both
+    /// [`CompCpyHost::queue_pressure`] and the placement scheduler.
+    fn shard_pressure(&mut self, channel: usize) -> QueuePressure {
+        let dev = self.device_on(channel);
+        let cap = dev.config().scratchpad_pages.max(1);
         QueuePressure {
-            scratch_free_fraction,
-            xlat_occupancy,
+            scratch_free_fraction: dev.free_pages() as f64 / cap as f64,
+            xlat_occupancy: dev.xlat().occupancy(),
         }
     }
 
@@ -394,15 +431,8 @@ impl CompCpyHost {
     /// `channel`: inverts the device's de-interleave so each DIMM sees a
     /// private register window despite fine-grain interleaving (§V-D).
     fn mmio_alias(&self, logical: u64, channel: usize) -> PhysAddr {
-        let ch = self.channels as u64;
-        let g = self.interleave_lines as u64;
-        let li = logical / 64;
-        let phys_line = (li / g) * ch * g + (channel as u64) * g + li % g;
+        let phys_line = self.mapper.join_line(channel, logical / 64);
         PhysAddr(self.config_base.0 + phys_line * 64 + logical % 64)
-    }
-
-    fn mmio(&self, offset: u64) -> PhysAddr {
-        self.mmio_alias(offset, 0)
     }
 
     /// Writes a 64-byte register on every channel's SmartDIMM — how the
@@ -417,29 +447,17 @@ impl CompCpyHost {
     /// Reads the SmartDIMM status register. With multiple channels, the
     /// scratchpad-space fields report the *scarcest* DIMM.
     pub fn read_status(&mut self) -> StatusReg {
-        let mut agg: Option<StatusReg> = None;
-        for c in 0..self.channels {
-            let addr = self.mmio_alias(STATUS_OFFSET, c);
-            let data = self.mem.mmio_read64(addr);
-            let s = StatusReg::from_bytes(&data);
-            agg = Some(match agg {
-                None => s,
-                Some(a) => StatusReg {
-                    free_pages: a.free_pages.min(s.free_pages),
-                    pending_pages: a.pending_pages.max(s.pending_pages),
-                    self_recycled: a.self_recycled + s.self_recycled,
-                    ignored_writebacks: a.ignored_writebacks + s.ignored_writebacks,
-                },
-            });
-        }
-        agg.expect("at least one channel")
-    }
-
-    /// The channel the cacheline containing `addr` decodes to (the
-    /// `dram::addr` channel-bit extraction, kept in sync with
-    /// [`dram::AddressMapper::decode`]).
-    fn line_channel(&self, addr: u64) -> usize {
-        (((addr >> 6) / self.interleave_lines as u64) % self.channels as u64) as usize
+        (0..self.channels)
+            .map(|c| {
+                StatusReg::from_bytes(&self.mem.mmio_read64(self.mmio_alias(STATUS_OFFSET, c)))
+            })
+            .reduce(|a, s| StatusReg {
+                free_pages: a.free_pages.min(s.free_pages),
+                pending_pages: a.pending_pages.max(s.pending_pages),
+                self_recycled: a.self_recycled + s.self_recycled,
+                ignored_writebacks: a.ignored_writebacks + s.ignored_writebacks,
+            })
+            .expect("at least one channel")
     }
 
     /// `Some(channel)` when every covered cacheline of `[base,
@@ -449,13 +467,10 @@ impl CompCpyHost {
         if self.channels == 1 {
             return Some(0);
         }
-        let first = self.line_channel(base.0);
-        for l in 1..size.div_ceil(64) as u64 {
-            if self.line_channel(base.0 + l * 64) != first {
-                return None;
-            }
-        }
-        Some(first)
+        let first = self.mapper.channel_of(base);
+        lines(base, size)
+            .all(|a| self.mapper.channel_of(a) == first)
+            .then_some(first)
     }
 
     /// Whether source line *i* and destination line *i* decode to the
@@ -468,63 +483,9 @@ impl CompCpyHost {
         if self.channels == 1 {
             return true;
         }
-        (0..size.div_ceil(64) as u64)
-            .all(|l| self.line_channel(sbuf.0 + l * 64) == self.line_channel(dbuf.0 + l * 64))
-    }
-
-    /// A phase-matched bounce region for a cross-channel offload: same
-    /// length as the caller's buffer and the same position within the
-    /// channel-interleave period as `sbuf`, so every source line and its
-    /// bounce line decode to the same channel. Regions are pooled and
-    /// reused per `(phase, pages)`.
-    fn acquire_bounce(&mut self, sbuf: PhysAddr, size: usize) -> PhysAddr {
-        let pages = size.div_ceil(PAGE) as u64;
-        let period = (self.channels * self.interleave_lines * 64) as u64;
-        let phase = sbuf.0 % period;
-        if let Some(list) = self.bounce_pool.get_mut(&(phase, pages)) {
-            if let Some(addr) = list.pop() {
-                return addr;
-            }
-        }
-        // Carve a fresh phase-matched region from the driver pool.
-        // `alloc_next` and `sbuf` are both page aligned, so page-sized
-        // steps cycle `alloc_next % period` through every page-aligned
-        // phase and this terminates within `period / gcd(period, 4096)`
-        // iterations. With multiple DIMMs per channel the region must
-        // also decode entirely to the DSA-bearing slot: a staged line
-        // on a capacity DIMM would keep the memcpy's raw bytes instead
-        // of the device-substituted output.
-        let addr = loop {
-            while self.alloc_next % period != phase {
-                self.alloc_next += PAGE as u64;
-            }
-            let cand = PhysAddr(self.alloc_next);
-            if self.dsa_resident(cand, (pages as usize) * PAGE) {
-                break cand;
-            }
-            self.alloc_next += PAGE as u64;
-            assert!(
-                self.alloc_next <= self.config_base.0,
-                "driver bounce pool collides with MMIO space"
-            );
-        };
-        self.alloc_next = addr.0 + pages * PAGE as u64;
-        assert!(
-            self.alloc_next <= self.config_base.0,
-            "driver bounce pool collides with MMIO space"
-        );
-        addr
-    }
-
-    /// Returns a bounce region to the pool for reuse.
-    fn release_bounce(&mut self, bounce: PhysAddr, size: usize) {
-        let pages = size.div_ceil(PAGE) as u64;
-        let period = (self.channels * self.interleave_lines * 64) as u64;
-        let phase = bounce.0 % period;
-        self.bounce_pool
-            .entry((phase, pages))
-            .or_default()
-            .push(bounce);
+        lines(sbuf, size)
+            .zip(lines(dbuf, size))
+            .all(|(s, d)| self.mapper.channel_of(s) == self.mapper.channel_of(d))
     }
 
     /// Whether every covered line of `[base, base+size)` decodes to the
@@ -536,11 +497,8 @@ impl CompCpyHost {
         if topo.dimms_per_channel == 1 {
             return true;
         }
-        (0..size.div_ceil(64) as u64).all(|l| {
-            let loc = self.mapper.decode(PhysAddr(base.0 + l * 64));
-            // `new` installs every buffer device in slot 0.
-            topo.dimm_slot_of_rank(loc.rank) == 0
-        })
+        // `new` installs every buffer device in slot 0.
+        lines(base, size).all(|a| topo.dimm_slot_of_rank(self.mapper.decode(a).rank) == 0)
     }
 
     /// Samples every shard's placement inputs — the same scratchpad and
@@ -550,16 +508,10 @@ impl CompCpyHost {
         let topo = *self.mapper.topology();
         let home_socket = self.home_socket;
         (0..self.channels)
-            .map(|ch| {
-                let dev = self.device_on(ch);
-                let cap = dev.config().scratchpad_pages.max(1);
-                let free = dev.free_pages() as f64 / cap as f64;
-                let occ = dev.xlat().occupancy();
-                sched::ShardSnapshot {
-                    channel: ch,
-                    pressure: (1.0 - free).max(occ),
-                    remote: topo.socket_of_channel(ch) != home_socket,
-                }
+            .map(|ch| sched::ShardSnapshot {
+                channel: ch,
+                pressure: self.shard_pressure(ch).scalar(),
+                remote: topo.socket_of_channel(ch) != home_socket,
             })
             .collect()
     }
@@ -567,21 +519,17 @@ impl CompCpyHost {
     /// The score of an offload's current (static) placement: the worst
     /// [`sched::score`] over the channels its source lines touch.
     fn placement_score(&self, base: PhysAddr, size: usize, snaps: &[sched::ShardSnapshot]) -> f64 {
-        let mut worst = f64::MIN;
-        for l in 0..size.div_ceil(64) as u64 {
-            let ch = self.line_channel(base.0 + l * 64);
-            worst = worst.max(sched::score(&self.sched, &snaps[ch]));
-        }
-        worst
+        lines(base, size).fold(f64::MIN, |worst, a| {
+            worst.max(sched::score(&self.sched, &snaps[self.mapper.channel_of(a)]))
+        })
     }
 
     /// Counts the offload as remote or local: remote when any effective
     /// source line decodes to a channel on a non-home socket.
     fn note_locality(&mut self, base: PhysAddr, size: usize) {
         let topo = *self.mapper.topology();
-        let remote = (0..size.div_ceil(64) as u64).any(|l| {
-            topo.socket_of_channel(self.line_channel(base.0 + l * 64)) != self.home_socket
-        });
+        let remote = lines(base, size)
+            .any(|a| topo.socket_of_channel(self.mapper.channel_of(a)) != self.home_socket);
         if remote {
             self.sched_stats.remote_placements += 1;
         } else {
@@ -589,9 +537,10 @@ impl CompCpyHost {
         }
     }
 
-    /// Chooses the effective source buffer for an offload: `sbuf`
-    /// itself when the static decode already works, or a device-visible
-    /// staging ("home") region the source is copied into first.
+    /// Chooses the effective source buffer for an offload: `None` to
+    /// use `sbuf` itself when the static decode already works, or a
+    /// device-visible staging ("home") region the source is copied into
+    /// first.
     ///
     /// Re-homing is *mandatory* when any source line decodes to a
     /// DSA-less DIMM slot — those CAS never reach a buffer device, so
@@ -603,104 +552,101 @@ impl CompCpyHost {
     ///
     /// The staging copy runs *before* registration, so the devices see
     /// it as plain (unregistered) write traffic.
-    fn place_source(&mut self, sbuf: PhysAddr, size: usize, class: usize) -> PhysAddr {
-        let resident = self.dsa_resident(sbuf, size);
-        let pinnable = self.channels == 1 || size <= self.interleave_lines * 64;
+    fn place_source(&mut self, sbuf: PhysAddr, size: usize, class: usize) -> Option<Staging> {
+        let pinnable = self.channels == 1
+            || size as u64 <= self.mapper.interleave_period() / self.channels as u64;
         let policy = self.sched.policy;
-        if resident {
-            if policy == PlacementPolicy::OccupancyLocality && pinnable && self.channels > 1 {
-                let snaps = self.shard_snapshots();
-                let best = sched::pick(&self.sched, &snaps);
-                let cur = self.placement_score(sbuf, size, &snaps);
-                if sched::score(&self.sched, &best) + self.sched.migrate_margin < cur {
-                    self.sched_stats.migrated_offloads += 1;
-                    let home = self.acquire_home(sbuf, size, Some(best.channel));
-                    self.mem
-                        .memcpy(home, sbuf, size.div_ceil(64) * 64, class, false);
-                    self.note_locality(home, size);
-                    return home;
-                }
-            }
-            self.sched_stats.static_placements += 1;
-            self.note_locality(sbuf, size);
-            return sbuf;
-        }
-        // Mandatory re-homing: part of the source sits on a capacity
-        // DIMM the DSA cannot see.
-        self.sched_stats.rehomed_offloads += 1;
-        let target = if pinnable {
-            Some(match policy {
-                PlacementPolicy::Static => self.line_channel(sbuf.0),
+        let target = if self.dsa_resident(sbuf, size) {
+            let migrate_to =
+                if policy == PlacementPolicy::OccupancyLocality && pinnable && self.channels > 1 {
+                    let snaps = self.shard_snapshots();
+                    let best = sched::pick(&self.sched, &snaps);
+                    let cur = self.placement_score(sbuf, size, &snaps);
+                    (sched::score(&self.sched, &best) + self.sched.migrate_margin < cur)
+                        .then_some(best.channel)
+                } else {
+                    None
+                };
+            let Some(channel) = migrate_to else {
+                self.sched_stats.static_placements += 1;
+                self.note_locality(sbuf, size);
+                return None;
+            };
+            self.sched_stats.migrated_offloads += 1;
+            Some(channel)
+        } else {
+            // Mandatory re-homing: part of the source sits on a capacity
+            // DIMM the DSA cannot see.
+            self.sched_stats.rehomed_offloads += 1;
+            pinnable.then(|| match policy {
+                PlacementPolicy::Static => self.mapper.channel_of(sbuf),
                 PlacementPolicy::OccupancyLocality => {
                     let snaps = self.shard_snapshots();
                     sched::pick(&self.sched, &snaps).channel
                 }
             })
-        } else {
-            None
         };
-        let home = self.acquire_home(sbuf, size, target);
+        let home = self.acquire_staging(sbuf, size, target);
         self.mem
-            .memcpy(home, sbuf, size.div_ceil(64) * 64, class, false);
-        self.note_locality(home, size);
-        home
+            .memcpy(home.addr, sbuf, size.div_ceil(64) * 64, class, false);
+        self.note_locality(home.addr, size);
+        Some(home)
     }
 
-    /// A device-visible staging region for a re-homed or migrated
-    /// offload. With `Some(channel)` the region decodes entirely to
-    /// that channel's DSA-bearing DIMM (single-shard placement); with
-    /// `None` it is phase-matched to `sbuf` — preserving the per-line
-    /// channel pattern — and merely slot-resident. Regions are pooled
-    /// and reused per `(target, pages)`.
+    /// A device-visible staging region for `size` bytes staged from
+    /// `src`: a cross-channel bounce buffer, or a re-homed or migrated
+    /// source. With `Some(channel)` the region decodes entirely to that
+    /// channel's DSA-bearing DIMM (single-shard placement); with `None`
+    /// it sits at `src`'s phase within the interleave period, so every
+    /// line keeps its channel. Either way every line decodes to a
+    /// DSA-bearing DIMM slot: a staged line on a capacity DIMM would keep
+    /// the memcpy's raw bytes instead of the device-substituted output.
     ///
     /// Single-channel targets require the offload to fit one interleave
-    /// window (`channel_interleave_lines * 64` bytes);
-    /// [`CompCpyHost::place_source`] only requests them for such
+    /// window; [`CompCpyHost::place_source`] only requests them for such
     /// ("pinnable") offloads.
-    fn acquire_home(&mut self, sbuf: PhysAddr, size: usize, target: Option<usize>) -> PhysAddr {
+    fn acquire_staging(&mut self, src: PhysAddr, size: usize, target: Option<usize>) -> Staging {
         let pages = size.div_ceil(PAGE) as u64;
-        let key = (target.unwrap_or(usize::MAX), pages);
-        if let Some(list) = self.home_pool.get_mut(&key) {
-            if let Some(addr) = list.pop() {
-                return addr;
-            }
+        let period = self.mapper.interleave_period();
+        // A targeted region only has to sit on its channel.
+        let phase = if target.is_none() { src.0 % period } else { 0 };
+        let key = (target, phase, pages);
+        if let Some(addr) = self.staging_pool.get_mut(&key).and_then(Vec::pop) {
+            return Staging { addr, key };
         }
-        let period = (self.channels * self.interleave_lines * 64) as u64;
-        let phase = sbuf.0 % period;
+        // Carve a fresh region from the driver pool. `alloc_next` and
+        // `src` are both page aligned, so page-sized steps cycle
+        // `alloc_next % period` through every page-aligned phase and the
+        // phase match terminates within `period / gcd(period, 4096)`
+        // steps.
+        let bytes = pages * PAGE as u64;
         let addr = loop {
             if target.is_none() {
-                // Phase-match so every line keeps its channel.
                 while self.alloc_next % period != phase {
                     self.alloc_next += PAGE as u64;
                 }
             }
             let cand = PhysAddr(self.alloc_next);
-            let sole_ok = match target {
-                Some(ch) => self.sole_channel(cand, size) == Some(ch),
-                None => true,
-            };
-            if sole_ok && self.dsa_resident(cand, (pages as usize) * PAGE) {
+            assert!(
+                cand.0 + bytes <= self.config_base.0,
+                "driver staging pool collides with MMIO space"
+            );
+            let on_target = target.is_none_or(|ch| self.sole_channel(cand, size) == Some(ch));
+            if on_target && self.dsa_resident(cand, bytes as usize) {
                 break cand;
             }
             self.alloc_next += PAGE as u64;
-            assert!(
-                self.alloc_next <= self.config_base.0,
-                "driver home pool collides with MMIO space"
-            );
         };
-        self.alloc_next = addr.0 + pages * PAGE as u64;
-        assert!(
-            self.alloc_next <= self.config_base.0,
-            "driver home pool collides with MMIO space"
-        );
-        addr
+        self.alloc_next = addr.0 + bytes;
+        Staging { addr, key }
     }
 
-    /// Returns a home region to the pool for reuse.
-    fn release_home(&mut self, home: PhysAddr, size: usize) {
-        let pages = size.div_ceil(PAGE) as u64;
-        let key = (self.sole_channel(home, size).unwrap_or(usize::MAX), pages);
-        self.home_pool.entry(key).or_default().push(home);
+    /// Returns a staging region to the pool for reuse.
+    fn release_staging(&mut self, staging: Staging) {
+        self.staging_pool
+            .entry(staging.key)
+            .or_default()
+            .push(staging.addr);
     }
 
     /// Whether every input byte of `handle` has reached a terminal DSA
@@ -721,6 +667,31 @@ impl CompCpyHost {
         bytes as usize >= handle.size
     }
 
+    /// Fault-aware completion of `handle`. Injected faults may starve
+    /// the DSA (dropped S6 feeds) or defer writebacks, leaving an
+    /// offload in progress whose still-pending staged lines would NACK
+    /// later reads. Drains, re-flushes and re-feeds the source range
+    /// until every input byte has settled (at most five rounds) — the
+    /// recovery a fault-aware driver performs. Does nothing without an
+    /// installed fault handle.
+    pub fn settle(&mut self, handle: &OffloadHandle) {
+        if self.fault.is_none() {
+            return;
+        }
+        let covered = handle.size.div_ceil(64) * 64;
+        for _ in 0..5 {
+            if self.offload_settled(handle) {
+                break;
+            }
+            self.mem.drain_writebacks();
+            self.mem.flush(handle.sbuf, covered);
+            for line in lines(handle.sbuf, covered) {
+                let mut buf = [0u8; 64];
+                self.mem.load(line, &mut buf, 0);
+            }
+        }
+    }
+
     /// Reads the result slot of `handle` on `channel`.
     pub fn read_result_on(&mut self, handle: &OffloadHandle, channel: usize) -> ResultSlot {
         let slot = (handle.id as usize) % self.result_slots;
@@ -734,12 +705,18 @@ impl CompCpyHost {
     /// one (flex-mode, re-homed or migrated offloads run entirely on
     /// that shard), channel 0 otherwise.
     pub fn read_result(&mut self, handle: &OffloadHandle) -> ResultSlot {
-        let ch = handle
-            .home
-            .map(|c| c as usize)
-            .or_else(|| self.sole_channel(handle.sbuf, handle.size))
-            .unwrap_or(0);
+        let ch = self.owner(handle).unwrap_or(0);
         self.read_result_on(handle, ch)
+    }
+
+    /// The shard that saw every effective source line of `handle`, if
+    /// one did: the home recorded at issue time, else the sole channel
+    /// of the caller's source.
+    fn owner(&self, handle: &OffloadHandle) -> Option<usize> {
+        handle
+            .home
+            .map(usize::from)
+            .or_else(|| self.sole_channel(handle.sbuf, handle.size))
     }
 
     /// The AES-GCM tag of a completed TLS offload.
@@ -750,11 +727,7 @@ impl CompCpyHost {
     /// contribution and `EIV` host-side (§V-D, the step the paper assigns
     /// to the CPU). Returns `None` until every byte has been processed.
     pub fn tag(&mut self, handle: &OffloadHandle) -> Option<[u8; 16]> {
-        let home = handle
-            .home
-            .map(|c| c as usize)
-            .or_else(|| self.sole_channel(handle.sbuf, handle.size));
-        if let Some(ch) = home {
+        if let Some(ch) = self.owner(handle) {
             // One shard saw every source line (single-channel mode, or a
             // flex/bounced placement): it absorbed the metadata and
             // computed the full tag itself.
@@ -903,43 +876,15 @@ impl CompCpyHost {
         if aad.len() > 7 {
             return Err(CompCpyError::BadSize);
         }
-        self.apply_armed_faults();
-        let pages_needed = 1 + size / PAGE; // line 16's reservation
-                                            // Lines 7-17: reserve scratchpad space under the lock. The
-                                            // cached count is read and written through the simkit::par
-                                            // doorway; the MMIO refresh happens between lock scopes because
-                                            // it needs the memory system.
-        let cached = self.free_pages.with(|f| *f);
-        if cached > pages_needed as i64 {
-            self.free_pages.with(|f| *f -= pages_needed as i64);
-        } else {
-            // Lazy refresh from SmartDIMMConfig[0] (line 9).
-            let status = {
-                let data = self.mem.mmio_read64(self.mmio(STATUS_OFFSET));
-                StatusReg::from_bytes(&data)
-            };
-            let mut refreshed = status.free_pages as i64;
-            if refreshed <= pages_needed as i64 {
-                // Unlikely path (lines 10-13).
-                self.force_recycle(pages_needed);
-                refreshed = self.read_status().free_pages as i64;
-                if refreshed < pages_needed as i64 {
-                    return Err(CompCpyError::OutOfScratchpad);
-                }
-            }
-            self.free_pages
-                .with(|f| *f = refreshed - pages_needed as i64);
-        }
-
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.reserve(size)?;
 
         // Placement: pick the shard(s) that serve this offload. The
         // static decode keeps a source wherever its lines map; sources
         // touching a DSA-less DIMM slot are staged into a
         // device-visible home region, and the occupancy+locality
         // policy may migrate pinnable offloads to a better shard.
-        let eff_sbuf = self.place_source(sbuf, size, class);
+        let home = self.place_source(sbuf, size, class);
+        let eff_sbuf = home.map_or(sbuf, |h| h.addr);
 
         // §V-D routing: a shard can only serve page pairs whose source
         // and destination lines decode to its own channel and its own
@@ -949,63 +894,91 @@ impl CompCpyHost {
         // the offload into a phase-matched bounce buffer and copy out
         // after the device completes.
         let src_sole = self.sole_channel(eff_sbuf, size);
-        let direct = self.channel_maps_match(eff_sbuf, dbuf, size) && self.dsa_resident(dbuf, size);
-        let stage_dbuf = if direct {
-            dbuf
-        } else {
-            self.bounced_offloads += 1;
-            self.acquire_bounce(eff_sbuf, size)
-        };
+        let bounce =
+            if self.channel_maps_match(eff_sbuf, dbuf, size) && self.dsa_resident(dbuf, size) {
+                None
+            } else {
+                self.bounced_offloads += 1;
+                Some(self.acquire_staging(eff_sbuf, size, None))
+            };
+        let stage_dbuf = bounce.map_or(dbuf, |b| b.addr);
 
         // Line 19: flush the (effective) source to DRAM so the DIMM
         // sees the data.
         self.mem.flush(eff_sbuf, size);
 
-        // Lines 21-23: registration — context first, then the page pairs,
-        // replicated to every channel's SmartDIMM (§V-D). When one shard
-        // sees every source line it absorbs the AAD/length metadata and
-        // computes the full tag; otherwise each DIMM runs a *partial*
-        // TLS engine and the host contributes the metadata combining.
-        let ctx = ContextChunk {
-            offload_id: id,
-            payload: op.encode_context_with_policy(size, aad, src_sole.is_some()),
-        };
-        self.mmio_broadcast(CONTEXT_OFFSET, &ctx.to_bytes());
-        let num_pages = size.div_ceil(PAGE);
-        for p in 0..num_pages {
-            let reg = Registration {
-                offload_id: id,
-                src_page_addr: eff_sbuf.0 + (p * PAGE) as u64,
-                dst_page_addr: stage_dbuf.0 + (p * PAGE) as u64,
-                msg_offset: (p * PAGE) as u64,
-            };
-            self.mmio_broadcast(REGISTER_OFFSET, &reg.to_bytes());
-        }
+        // Lines 21-23: registration. When one shard sees every source
+        // line it absorbs the AAD/length metadata and computes the full
+        // tag; otherwise each DIMM runs a *partial* TLS engine and the
+        // host contributes the metadata combining.
+        let ctx = op.encode_context_with_policy(size, aad, src_sole.is_some());
+        self.register(id, ctx, eff_sbuf, stage_dbuf, size);
 
         // Lines 24-31: the copy. Ordered mode fences between lines.
         let ordered = ordered || op.requires_ordered();
         self.mem
             .memcpy(stage_dbuf, eff_sbuf, size.div_ceil(64) * 64, class, ordered);
 
-        let mut aad_buf = [0u8; 7];
-        aad_buf[..aad.len()].copy_from_slice(aad);
-        let handle = OffloadHandle {
-            id,
-            dbuf,
-            sbuf,
-            size,
-            op,
-            aad: aad_buf,
-            aad_len: aad.len() as u8,
-            home: src_sole.map(|c| c as u16),
-        };
-        if !direct {
-            self.finish_bounce(&handle, eff_sbuf, stage_dbuf, class);
+        let handle = OffloadHandle::new(id, dbuf, sbuf, size, op, aad, src_sole);
+        if let Some(bounce) = bounce {
+            self.finish_bounce(&handle, eff_sbuf, bounce, class);
         }
-        if eff_sbuf != sbuf {
-            self.release_home(eff_sbuf, size);
+        if let Some(home) = home {
+            self.release_staging(home);
         }
         Ok(handle)
+    }
+
+    /// Applies the preparation faults armed for this offload, reserves
+    /// scratchpad space for `size` bytes and assigns the offload id.
+    ///
+    /// Algorithm 2 lines 7-17: the lock-protected `freePages` count is
+    /// read and written through the simkit::par doorway; the lazy MMIO
+    /// refresh and Force-Recycle happen between lock scopes because
+    /// they need the memory system.
+    fn reserve(&mut self, size: usize) -> Result<u64, CompCpyError> {
+        self.apply_armed_faults();
+        let pages_needed = 1 + (size / PAGE) as i64; // line 16's reservation
+        let cached = self.free_pages.with(|f| *f);
+        if cached > pages_needed {
+            self.free_pages.with(|f| *f -= pages_needed);
+        } else {
+            // Lazy refresh from SmartDIMMConfig[0] (line 9).
+            let status = self.mem.mmio_read64(self.mmio_alias(STATUS_OFFSET, 0));
+            let mut refreshed = StatusReg::from_bytes(&status).free_pages as i64;
+            if refreshed <= pages_needed {
+                // Unlikely path (lines 10-13).
+                self.force_recycle(pages_needed as usize);
+                refreshed = self.read_status().free_pages as i64;
+                if refreshed < pages_needed {
+                    return Err(CompCpyError::OutOfScratchpad);
+                }
+            }
+            self.free_pages.with(|f| *f = refreshed - pages_needed);
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        Ok(id)
+    }
+
+    /// Registers offload `id` on every channel's SmartDIMM (§V-D):
+    /// context first, then one page pair per 4 KB of `size` mapping
+    /// `src` onto `dst`.
+    fn register(&mut self, id: u64, ctx: [u8; 48], src: PhysAddr, dst: PhysAddr, size: usize) {
+        let chunk = ContextChunk {
+            offload_id: id,
+            payload: ctx,
+        };
+        self.mmio_broadcast(CONTEXT_OFFSET, &chunk.to_bytes());
+        for p in 0..size.div_ceil(PAGE) {
+            let reg = Registration {
+                offload_id: id,
+                src_page_addr: src.0 + (p * PAGE) as u64,
+                dst_page_addr: dst.0 + (p * PAGE) as u64,
+                msg_offset: (p * PAGE) as u64,
+            };
+            self.mmio_broadcast(REGISTER_OFFSET, &reg.to_bytes());
+        }
     }
 
     /// Completes a bounced offload: settles injected faults, self-
@@ -1017,32 +990,19 @@ impl CompCpyHost {
         &mut self,
         handle: &OffloadHandle,
         src: PhysAddr,
-        bounce: PhysAddr,
+        bounce: Staging,
         class: usize,
     ) {
-        let covered = handle.size.div_ceil(64) * 64;
-        if self.fault.is_some() {
-            // Injected faults may have starved the DSA (dropped S6
-            // feeds) or deferred writebacks; recover like a fault-aware
-            // driver before touching the staged output: drain, re-flush,
-            // re-feed the source range.
-            for _ in 0..5 {
-                if self.offload_settled(handle) {
-                    break;
-                }
-                self.mem.drain_writebacks();
-                self.mem.flush(src, covered);
-                for l in (0..covered).step_by(64) {
-                    let mut buf = [0u8; 64];
-                    self.mem.load(PhysAddr(src.0 + l as u64), &mut buf, 0);
-                }
-            }
-        }
+        self.settle(&OffloadHandle {
+            sbuf: src,
+            ..*handle
+        });
         // Write the memcpy-dirtied bounce lines back so the device
         // substitutes the staged transformed data (S9), then copy the
         // result into the caller's dbuf — any line whose writeback was
         // deferred is served from the scratchpad on the read (S10).
-        self.mem.flush(bounce, covered);
+        let covered = handle.size.div_ceil(64) * 64;
+        self.mem.flush(bounce.addr, covered);
         let out_bytes = if handle.op.size_preserving() {
             covered
         } else {
@@ -1056,9 +1016,9 @@ impl CompCpyHost {
         };
         if out_bytes > 0 {
             self.mem
-                .memcpy(handle.dbuf, bounce, out_bytes, class, false);
+                .memcpy(handle.dbuf, bounce.addr, out_bytes, class, false);
         }
-        self.release_bounce(bounce, handle.size);
+        self.release_staging(bounce);
     }
 
     /// Registers a *Compute DMA* offload (§IV-E): the transformation runs
@@ -1097,53 +1057,10 @@ impl CompCpyHost {
             // must already be visible to the DSA-bearing DIMM slot.
             return Err(CompCpyError::SingleChannelOnly);
         }
-        self.apply_armed_faults();
-        // Reserve scratchpad space exactly as CompCpy does.
-        let pages_needed = 1 + size / PAGE;
-        let cached = self.free_pages.with(|f| *f);
-        if cached <= pages_needed as i64 {
-            let status = self.read_status();
-            let mut refreshed = status.free_pages as i64;
-            if refreshed <= pages_needed as i64 {
-                self.force_recycle(pages_needed);
-                refreshed = self.read_status().free_pages as i64;
-                if refreshed < pages_needed as i64 {
-                    return Err(CompCpyError::OutOfScratchpad);
-                }
-            }
-            self.free_pages
-                .with(|f| *f = refreshed - pages_needed as i64);
-        } else {
-            self.free_pages.with(|f| *f = cached - pages_needed as i64);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let ctx = ContextChunk {
-            offload_id: id,
-            payload: op.encode_context_full(size, aad, true, true),
-        };
-        self.mmio_broadcast(CONTEXT_OFFSET, &ctx.to_bytes());
-        for p in 0..size.div_ceil(PAGE) {
-            let reg = Registration {
-                offload_id: id,
-                src_page_addr: sbuf.0 + (p * PAGE) as u64,
-                dst_page_addr: dbuf.0 + (p * PAGE) as u64,
-                msg_offset: (p * PAGE) as u64,
-            };
-            self.mmio_broadcast(REGISTER_OFFSET, &reg.to_bytes());
-        }
-        let mut aad_buf = [0u8; 7];
-        aad_buf[..aad.len()].copy_from_slice(aad);
-        Ok(OffloadHandle {
-            id,
-            dbuf,
-            sbuf,
-            size,
-            op,
-            aad: aad_buf,
-            aad_len: aad.len() as u8,
-            home: Some(0),
-        })
+        let id = self.reserve(size)?;
+        let ctx = op.encode_context_full(size, aad, true, true);
+        self.register(id, ctx, sbuf, dbuf, size);
+        Ok(OffloadHandle::new(id, dbuf, sbuf, size, op, aad, Some(0)))
     }
 
     /// Reads a Compute-DMA result and recycles its Scratchpad pages.
@@ -1159,9 +1076,8 @@ impl CompCpyHost {
         // Drop the clean cached copies and recycle the staged lines with
         // explicit write-requests (the device substitutes staged data).
         self.mem.flush(handle.dbuf, handle.size.div_ceil(64) * 64);
-        for line in (0..handle.size.div_ceil(64) * 64).step_by(64) {
-            let addr = PhysAddr(handle.dbuf.0 + line as u64);
-            self.mem.dram_mut().write64(addr, &[0u8; 64]);
+        for line in lines(handle.dbuf, handle.size) {
+            self.mem.dram_mut().write64(line, &[0u8; 64]);
         }
         out
     }
@@ -1622,33 +1538,89 @@ mod tests {
 
     #[test]
     fn rehomed_offloads_reuse_pooled_home_regions() {
-        let mut cfg = HostConfig::default();
-        cfg.mem.dram.topology.dimms_per_channel = 2;
-        let topo = cfg.mem.dram.topology;
-        let mut h = CompCpyHost::new(cfg);
-        let src = slot1_page(&topo, 0x0100_0000);
-        let dst = h.alloc_pages(1);
-        let key = [0x55u8; 16];
-        for i in 0..4u64 {
-            let msg = ulp_compress::corpus::json(4096, 40 + i);
-            h.mem_mut().store(src, &msg, 0);
-            let iv = [(i + 1) as u8; 12];
-            let handle = h
-                .comp_cpy(
-                    dst,
-                    src,
-                    msg.len(),
-                    OffloadOp::TlsEncrypt { key, iv },
-                    false,
-                    0,
-                )
-                .unwrap();
-            let ct = h.use_buffer(&handle);
-            let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
-            let (want, _) = gcm.seal(&iv, b"", &msg);
-            assert_eq!(ct, want, "round {i}");
+        // Sources on the capacity DIMM, re-homed every round. With two
+        // channels × 64-line interleave an 8 KB source spans both
+        // channels, so its home region must keep the source's phase
+        // within the 8 KB interleave period: odd rounds shift source and
+        // dbuf to the other page phase, and a pooled home region reused
+        // at the wrong phase would no longer match the dbuf and be
+        // bounced as well.
+        for (channels, interleave, bytes) in [(1, 1, 4096), (2, 64, 8192)] {
+            let mut cfg = HostConfig::default();
+            cfg.mem.dram.topology.channels = channels;
+            cfg.mem.dram.topology.channel_interleave_lines = interleave;
+            cfg.mem.dram.topology.dimms_per_channel = 2;
+            let topo = cfg.mem.dram.topology;
+            let mut h = CompCpyHost::new(cfg);
+            let src0 = slot1_page(&topo, 0x0100_0000);
+            let dst0 = h.alloc_pages(6);
+            let key = [0x55u8; 16];
+            for i in 0..4u64 {
+                let shift = (i % 2) * 3 * PAGE as u64;
+                let (src, dst) = (PhysAddr(src0.0 + shift), PhysAddr(dst0.0 + shift));
+                let msg = ulp_compress::corpus::json(bytes, 40 + i);
+                h.mem_mut().store(src, &msg, 0);
+                let iv = [(i + 1) as u8; 12];
+                let handle = h
+                    .comp_cpy_with_aad(
+                        dst,
+                        src,
+                        msg.len(),
+                        OffloadOp::TlsEncrypt { key, iv },
+                        b"rec",
+                        false,
+                        0,
+                    )
+                    .unwrap();
+                let ct = h.use_buffer(&handle);
+                let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
+                let (want, tag) = gcm.seal(&iv, b"rec", &msg);
+                assert_eq!(ct, want, "{channels} channel(s), round {i}");
+                assert_eq!(
+                    h.tag(&handle),
+                    Some(tag),
+                    "{channels} channel(s), round {i}"
+                );
+            }
+            assert_eq!(h.sched_stats().rehomed_offloads, 4);
+            assert_eq!(h.bounced_offload_count(), 0, "{channels} channel(s)");
         }
-        assert_eq!(h.sched_stats().rehomed_offloads, 4);
+    }
+
+    #[test]
+    fn settle_is_a_no_op_once_striped_shards_cover_the_input() {
+        // A TLS offload striped over 4 fine-interleaved channels reports
+        // `Partial` on every shard even once complete; settle must see
+        // that the partials cover the input and not re-feed the source.
+        let mut cfg = HostConfig::default();
+        cfg.mem.dram.topology.channels = 4;
+        let mut h = CompCpyHost::new(cfg);
+        h.set_fault_handle(simkit::FaultHandle::new(simkit::FaultPlan::empty()));
+        let src = h.alloc_pages(1);
+        let dst = h.alloc_pages(1);
+        let msg = ulp_compress::corpus::text(4096, 12);
+        h.mem_mut().store(src, &msg, 0);
+        let key = [0x3Cu8; 16];
+        let iv = [0x4Du8; 12];
+        let handle = h
+            .comp_cpy(
+                dst,
+                src,
+                msg.len(),
+                OffloadOp::TlsEncrypt { key, iv },
+                false,
+                0,
+            )
+            .unwrap();
+        // The only reads settle may issue are the completion check's
+        // four result-slot reads, one MMIO rdCAS per shard.
+        let rd_cas = h.mem().dram().stats().rd_cas.value();
+        h.settle(&handle);
+        assert_eq!(h.mem().dram().stats().rd_cas.value(), rd_cas + 4);
+        let gcm = ulp_crypto::gcm::AesGcm::new_128(&key);
+        let (want, tag) = gcm.seal(&iv, b"", &msg);
+        assert_eq!(h.tag(&handle), Some(tag));
+        assert_eq!(h.use_buffer(&handle), want);
     }
 
     #[test]

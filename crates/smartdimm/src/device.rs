@@ -371,9 +371,15 @@ impl SmartDimmDevice {
                 .count()
     }
 
-    fn in_config_space(&self, addr: PhysAddr) -> bool {
+    /// The logical register offset of a config-space address, or `None`
+    /// outside the config window. Fine-grain channel interleaving spreads
+    /// consecutive cachelines across channels, so each DIMM's private
+    /// register window is the subset of lines that map to its channel;
+    /// the logical offset is the line's rank within that subset (§V-D).
+    fn config_offset(&self, addr: PhysAddr) -> Option<u64> {
         let span = CONFIG_SPACE_SIZE * self.cfg.topology.channels as u64;
-        addr.0 >= self.cfg.config_base.0 && addr.0 < self.cfg.config_base.0 + span
+        let rel = addr.0.checked_sub(self.cfg.config_base.0)?;
+        (rel < span).then(|| self.mapper.split_line(rel / 64).1 * 64 + rel % 64)
     }
 
     /// Whether `line_addr` decodes to this shard's channel *and* DIMM
@@ -385,22 +391,7 @@ impl SmartDimmDevice {
             && self.cfg.topology.dimm_slot_of_rank(loc.rank) == self.cfg.dimm_slot
     }
 
-    /// De-interleaves a physical config-space address into this device's
-    /// logical register offset. Fine-grain channel interleaving spreads
-    /// consecutive cachelines across channels, so each DIMM's private
-    /// register window is the subset of lines that map to its channel;
-    /// the logical offset is the line's rank within that subset (§V-D).
-    fn mmio_logical_offset(&self, addr: PhysAddr) -> u64 {
-        let topo = &self.cfg.topology;
-        let ch = topo.channels as u64;
-        let g = topo.channel_interleave_lines as u64;
-        let li = (addr.0 - self.cfg.config_base.0) / 64;
-        let logical_line = (li / (ch * g)) * g + li % g;
-        logical_line * 64 + (addr.0 - self.cfg.config_base.0) % 64
-    }
-
-    fn handle_mmio_read(&mut self, addr: PhysAddr) -> [u8; 64] {
-        let off = self.mmio_logical_offset(addr);
+    fn handle_mmio_read(&mut self, off: u64) -> [u8; 64] {
         match off {
             STATUS_OFFSET => StatusReg {
                 free_pages: self.scratchpad.free_pages() as u64,
@@ -454,9 +445,8 @@ impl SmartDimmDevice {
         }
     }
 
-    fn handle_mmio_write(&mut self, at: Cycle, addr: PhysAddr, data: &[u8; 64]) {
+    fn handle_mmio_write(&mut self, at: Cycle, off: u64, data: &[u8; 64]) {
         self.stats.mmio_writes += 1;
-        let off = self.mmio_logical_offset(addr);
         match off {
             REGISTER_OFFSET => self.register(at, Registration::from_bytes(data)),
             CONTEXT_OFFSET => {
@@ -876,8 +866,8 @@ impl BufferDevice for SmartDimmDevice {
         let phys = self.mapper.encode(&loc);
         debug_assert_eq!(phys, info.phys, "addr remap mismatch");
 
-        if self.in_config_space(phys) {
-            return RdResult::Data(self.handle_mmio_read(phys));
+        if let Some(off) = self.config_offset(phys) {
+            return RdResult::Data(self.handle_mmio_read(off));
         }
 
         let page = phys.page();
@@ -949,7 +939,9 @@ impl BufferDevice for SmartDimmDevice {
         if self.fault.is_some() {
             return false;
         }
-        if self.in_config_space(base) || self.in_config_space(PhysAddr(base.0 + 0xFFF)) {
+        if self.config_offset(base).is_some()
+            || self.config_offset(PhysAddr(base.0 + 0xFFF)).is_some()
+        {
             return false;
         }
         !matches!(self.xlat.peek(base.page()), Some(Mapping::Dest { .. }))
@@ -1019,8 +1011,8 @@ impl BufferDevice for SmartDimmDevice {
         loc.row = row;
         let phys = self.mapper.encode(&loc);
 
-        if self.in_config_space(phys) {
-            self.handle_mmio_write(info.at, phys, host_data);
+        if let Some(off) = self.config_offset(phys) {
+            self.handle_mmio_write(info.at, off, host_data);
             return WrResult::Ignore;
         }
 

@@ -60,20 +60,30 @@ fn server_harness_is_deterministic() {
 #[test]
 fn fault_injected_server_runs_are_deterministic() {
     // The fault-injection subsystem must not cost reproducibility: the
-    // same fault seed yields the identical metrics, for both ULPs.
-    for ulp in [UlpKind::Tls, UlpKind::Compression] {
+    // same fault seed yields the identical metrics, for both ULPs and
+    // for TLS striped over four fine-interleaved channels (the
+    // multi-channel fault-recovery path).
+    for (ulp, channels) in [
+        (UlpKind::Tls, 1),
+        (UlpKind::Compression, 1),
+        (UlpKind::Tls, 4),
+    ] {
         let cfg = WorkloadConfig {
             message_bytes: 4096,
             connections: 32,
             requests: 80,
             ulp,
+            channels,
             llc: Some(CacheConfig::mb(1, 16)),
             fault_seed: Some(29),
             ..WorkloadConfig::default()
         };
         let a = run_server(PlatformKind::SmartDimm, &cfg);
         let b = run_server(PlatformKind::SmartDimm, &cfg);
-        assert_eq!(a, b, "fault-injected {ulp:?} run diverged between replays");
+        assert_eq!(
+            a, b,
+            "fault-injected {ulp:?} run on {channels} channel(s) diverged between replays"
+        );
     }
 }
 

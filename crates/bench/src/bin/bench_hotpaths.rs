@@ -21,6 +21,9 @@
 //! 6. `whole_sim_parallel` — the 4-channel run_report sweep's
 //!    independent entries run back to back vs fanned out on a 4-worker
 //!    `simkit::par` pool.
+//! 7. `dimm_cell_store` — DIMM cell storage under CAS traffic: one
+//!    `BTreeMap` entry per 64 B line vs `dram::Dimm`'s 1 KB
+//!    bank-striped chunks.
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
 //! vary run to run. Modes:
@@ -38,9 +41,14 @@
 
 use bench::harness::{json_parses, median_ns_per_op, report, BenchSpec, HotPath};
 use cache::CacheConfig;
+use dram::dimm::CellCoord;
+use dram::{
+    AddressMapper, BufferDevice, CasInfo, Dimm, DramTopology, PhysAddr, RdResult, WrResult,
+};
 use platforms::{run_server, PlatformKind, UlpKind, WorkloadConfig};
-use simkit::DetRng;
+use simkit::{Cycle, DetRng};
 use smartdimm::{CompCpyHost, HostConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use ulp_crypto::aes::Aes;
@@ -48,13 +56,14 @@ use ulp_crypto::gcm::{AesGcm, Direction, OooGcm, CACHELINE};
 use ulp_crypto::gf128::Gf128;
 
 /// Rows `check` mode requires in the committed report.
-const REQUIRED_ROWS: [&str; 6] = [
+const REQUIRED_ROWS: [&str; 7] = [
     "gf128_mul",
     "aes_block",
     "ooo_gcm_4k",
     "compcpy_page_copy",
     "lz77_match_finder",
     "whole_sim_parallel",
+    "dimm_cell_store",
 ];
 
 fn repo_root() -> PathBuf {
@@ -310,6 +319,101 @@ fn bench_whole_sim_parallel(spec: BenchSpec, connections: usize, requests: usize
     }
 }
 
+/// A DIMM's cell store as driven by CAS commands.
+trait CellStore {
+    fn wr_cas(&mut self, info: &CasInfo, data: &[u8; 64]);
+    fn rd_cas(&mut self, info: &CasInfo) -> RdResult;
+}
+
+impl CellStore for Dimm {
+    fn wr_cas(&mut self, info: &CasInfo, data: &[u8; 64]) {
+        Dimm::wr_cas(self, info, data);
+    }
+    fn rd_cas(&mut self, info: &CasInfo) -> RdResult {
+        Dimm::rd_cas(self, info)
+    }
+}
+
+/// The DIMM store before 1 KB chunks: one `BTreeMap` entry per line,
+/// keyed by `(rank, bank_index, row, col)`, with the same buffer-device
+/// dispatch as [`Dimm`].
+struct PerLineDimm {
+    cells: BTreeMap<CellCoord, [u8; 64]>,
+    buffer: Box<dyn BufferDevice>,
+}
+
+impl CellStore for PerLineDimm {
+    fn wr_cas(&mut self, info: &CasInfo, data: &[u8; 64]) {
+        if let WrResult::Commit(d) = self.buffer.on_wr_cas(info, data) {
+            let key = (info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
+            self.cells.insert(key, d);
+        }
+    }
+    fn rd_cas(&mut self, info: &CasInfo) -> RdResult {
+        let key = (info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
+        let dram = self.cells.get(&key).copied().unwrap_or([0u8; 64]);
+        self.buffer.on_rd_cas(info, &dram)
+    }
+}
+
+fn bench_dimm_cell_store(spec: BenchSpec, write_bytes: usize, reads: usize) -> HotPath {
+    let mapper = AddressMapper::new(DramTopology::default());
+    let topo = *mapper.topology();
+    let cas = |line: u64| {
+        let loc = mapper.decode(PhysAddr(line * 64));
+        CasInfo {
+            loc,
+            phys: PhysAddr(line * 64),
+            bank_index: loc.bank_index(&topo),
+            at: Cycle::ZERO,
+            tag: 0,
+        }
+    };
+    let lines = (write_bytes / 64) as u64;
+    let mut rng = DetRng::new(0xD1A4);
+    let read_lines: Vec<u64> = (0..reads).map(|_| rng.gen_range(0..lines)).collect();
+    // One op: a fresh store takes every line of the working set in
+    // address order, then serves the random reads.
+    let op = |store: &mut dyn CellStore| {
+        for line in 0..lines {
+            store.wr_cas(&cas(line), &[line as u8; 64]);
+        }
+        let mut sum = 0u64;
+        for &line in &read_lines {
+            match store.rd_cas(&cas(line)) {
+                RdResult::Data(d) => sum += u64::from(d[0]),
+                RdResult::Retry => unreachable!("a plain DIMM never retries"),
+            }
+        }
+        sum
+    };
+    let per_line = || PerLineDimm {
+        cells: BTreeMap::new(),
+        buffer: Box::new(dram::Passthrough),
+    };
+    assert_eq!(
+        op(&mut per_line()),
+        op(&mut Dimm::passthrough()),
+        "both stores must return the same data"
+    );
+    HotPath {
+        name: "dimm_cell_store",
+        before_impl: "one BTreeMap entry per 64 B line, keyed (rank, bank, row, col)",
+        after_impl: "Dimm: BTreeMap of 1 KB chunks, keyed (rank, row, col, bank / 16)",
+        work_units: format!(
+            "fresh pass-through DIMM: {} MB of sequential line writes, then \
+             {reads} random line reads (one channel, default topology)",
+            write_bytes >> 20
+        ),
+        before_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(op(&mut per_line()));
+        }),
+        after_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(op(&mut Dimm::passthrough()));
+        }),
+    }
+}
+
 fn main() -> ExitCode {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "full".into());
     let out_path = repo_root().join("BENCH_hotpaths.json");
@@ -339,16 +443,35 @@ fn main() -> ExitCode {
         };
     }
 
-    let (spec, gf_blocks, pages, lz_len, sweep_scale, out_path) = match mode.as_str() {
+    // The cell-store row's op is a whole 48 MB fill, so full mode times
+    // it with a lighter plan of its own.
+    let (spec, gf_blocks, pages, lz_len, sweep_scale, cells, out_path) = match mode.as_str() {
         "smoke" => (
             BenchSpec::smoke(),
             256,
             4,
             1024,
             (16, 60),
+            (BenchSpec::smoke(), 1 << 20, 1 << 14),
             repo_root().join("target").join("BENCH_hotpaths.smoke.json"),
         ),
-        "full" => (BenchSpec::full(), 256, 32, 8192, (32, 150), out_path),
+        "full" => (
+            BenchSpec::full(),
+            256,
+            32,
+            8192,
+            (32, 150),
+            (
+                BenchSpec {
+                    warmup_iters: 1,
+                    iters: 1,
+                    samples: 5,
+                },
+                48 << 20,
+                1 << 20,
+            ),
+            out_path,
+        ),
         other => {
             eprintln!("usage: bench_hotpaths [smoke|full|check] (got {other:?})");
             return ExitCode::FAILURE;
@@ -363,6 +486,7 @@ fn main() -> ExitCode {
         bench_compcpy(spec, pages),
         bench_lz77(spec, lz_len),
         bench_whole_sim_parallel(spec, sweep_scale.0, sweep_scale.1),
+        bench_dimm_cell_store(cells.0, cells.1, cells.2),
     ];
     let mut rows = Vec::new();
     for p in &paths {

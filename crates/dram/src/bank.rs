@@ -47,24 +47,6 @@ impl Bank {
         self.state == RowState::Open(row)
     }
 
-    /// Earliest cycle at which a CAS to `row` could complete its command
-    /// issue, accounting for any required PRE/ACT. Does not mutate.
-    pub fn earliest_cas(&self, now: Cycle, row: usize, t: &Timing) -> Cycle {
-        match self.state {
-            RowState::Open(open) if open == row => Cycle(now.raw().max(self.cas_ready.raw())),
-            RowState::Open(_) => {
-                // PRE then ACT then CAS.
-                let pre_at = now.raw().max(self.pre_ready.raw());
-                let act_at = (pre_at + t.t_rp).max(self.act_ready.raw());
-                Cycle(act_at + t.t_rcd)
-            }
-            RowState::Closed => {
-                let act_at = now.raw().max(self.act_ready.raw());
-                Cycle(act_at + t.t_rcd)
-            }
-        }
-    }
-
     /// Issues whatever PRE/ACT sequence is needed so `row` is open, and
     /// returns `(cas_issue_cycle, activated, precharged)`.
     pub fn open_row(&mut self, now: Cycle, row: usize, t: &Timing) -> (Cycle, bool, bool) {
@@ -110,7 +92,7 @@ impl Bank {
         }
     }
 
-    /// Explicitly precharges (used by refresh-like maintenance in tests).
+    /// Precharges the bank for an all-bank refresh (PREA before REF).
     pub fn precharge(&mut self, now: Cycle, t: &Timing) {
         let at = now.raw().max(self.pre_ready.raw());
         self.state = RowState::Closed;
@@ -153,19 +135,6 @@ mod tests {
         // Must respect tRAS before precharge, then tRP + tRCD.
         assert!(cas2.raw() >= t.t_ras + t.t_rp + t.t_rcd);
         assert!(b.is_open(9));
-    }
-
-    #[test]
-    fn earliest_cas_matches_open_row() {
-        let t = Timing::default();
-        for row in [3usize, 7] {
-            let mut b = Bank::default();
-            b.open_row(Cycle(0), 3, &t);
-            let predicted = b.earliest_cas(Cycle(200), row, &t);
-            let mut b2 = b.clone();
-            let (actual, _, _) = b2.open_row(Cycle(200), row, &t);
-            assert_eq!(predicted, actual, "row {row}");
-        }
     }
 
     #[test]

@@ -327,10 +327,15 @@ impl DramSystem {
             }
             self.stats.refreshes.inc();
             self.channels[channel].next_refresh = due + t.t_refi;
-            // All banks precharge for the refresh and reopen afterwards.
-            for rank in &mut self.channels[channel].banks {
-                for bank in rank.iter_mut() {
+            // PREA: every bank precharges for the refresh and reopens
+            // afterwards. The buffer device sees the PREA on the command
+            // bus, so its Bank Table closes the same banks.
+            let ranks = self.mapper.topology().ranks;
+            let ch = &mut self.channels[channel];
+            for (rank, banks) in ch.banks.iter_mut().enumerate() {
+                for (bank_index, bank) in banks.iter_mut().enumerate() {
                     bank.precharge(due, &t);
+                    ch.dimms[rank / ranks].precharge(due, rank, bank_index);
                 }
             }
             let resume = due + t.t_rfc;

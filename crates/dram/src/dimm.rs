@@ -129,19 +129,49 @@ impl BufferDevice for Passthrough {
 /// A DRAM cell coordinate: `(rank, bank_index, row, col)`.
 pub type CellCoord = (usize, usize, usize, usize);
 
+/// Lines per storage chunk: the 16 bank indices `16k..16k + 16` that
+/// share one `(rank, row, col)`.
+const CHUNK_LINES: usize = 16;
+
+/// 1 KB of stored lines, indexed by `bank_index % CHUNK_LINES`.
+type Chunk = [[u8; 64]; CHUNK_LINES];
+
+/// The chunk holding `coord`, packed as `(rank, row, col,
+/// bank_index / 16)` into one `u64`, and the line's slot in it.
+///
+/// # Panics
+///
+/// Panics if a coordinate exceeds its key field (256 ranks, 2^32 rows,
+/// 2^16 columns, 4096 banks) — no topology the simulator builds comes
+/// near those.
+fn chunk_key(coord: CellCoord) -> (u64, usize) {
+    let (rank, bank_index, row, col) = coord;
+    let hi = bank_index / CHUNK_LINES;
+    assert!(
+        rank < 1 << 8 && (row as u64) < 1 << 32 && col < 1 << 16 && hi < 1 << 8,
+        "cell coordinate {coord:?} does not fit the chunk key"
+    );
+    let key = (rank as u64) << 56 | (row as u64) << 24 | (col as u64) << 8 | hi as u64;
+    (key, bank_index % CHUNK_LINES)
+}
+
 /// One DIMM: sparse DRAM storage plus its buffer device.
 ///
 /// Storage is keyed by DRAM coordinates, not physical address — the chips
-/// know nothing about the system address map.
+/// know nothing about the system address map. Lines are kept in 1 KB
+/// chunks striped across 16 banks: under the `bg | bank | col | rank |
+/// row` decode one chunk holds 16 consecutive physical cachelines, so a
+/// 4 KB page is 4 chunks and storage grows no faster than the bytes
+/// written. Reads of unwritten cells return zeros and allocate nothing.
 pub struct Dimm {
-    cells: BTreeMap<CellCoord, [u8; 64]>,
+    chunks: BTreeMap<u64, Box<Chunk>>,
     buffer: Box<dyn BufferDevice>,
 }
 
 impl std::fmt::Debug for Dimm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dimm")
-            .field("populated_lines", &self.cells.len())
+            .field("populated_chunks", &self.chunks.len())
             .finish()
     }
 }
@@ -150,7 +180,7 @@ impl Dimm {
     /// Creates a DIMM with the given buffer device.
     pub fn new(buffer: Box<dyn BufferDevice>) -> Dimm {
         Dimm {
-            cells: BTreeMap::new(),
+            chunks: BTreeMap::new(),
             buffer,
         }
     }
@@ -168,10 +198,13 @@ impl Dimm {
     /// Raw DRAM cell read, bypassing the buffer device (test/debug use:
     /// "what is actually stored in the chips").
     pub fn peek(&self, rank: usize, bank_index: usize, row: usize, col: usize) -> [u8; 64] {
-        self.cells
-            .get(&(rank, bank_index, row, col))
-            .copied()
-            .unwrap_or([0u8; 64])
+        self.cell((rank, bank_index, row, col))
+    }
+
+    /// The stored line at `coord` (zeros if never written).
+    fn cell(&self, coord: CellCoord) -> [u8; 64] {
+        let (key, slot) = chunk_key(coord);
+        self.chunks.get(&key).map_or([0u8; 64], |chunk| chunk[slot])
     }
 
     /// Delivers an ACT to the buffer device.
@@ -187,8 +220,7 @@ impl Dimm {
     /// Performs a read CAS: reads the chips, lets the buffer device
     /// intercept, and returns the bus data (or `Retry`).
     pub fn rd_cas(&mut self, info: &CasInfo) -> RdResult {
-        let key = (info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
-        let dram = self.cells.get(&key).copied().unwrap_or([0u8; 64]);
+        let dram = self.cell(coord_of(info));
         self.buffer.on_rd_cas(info, &dram)
     }
 
@@ -208,29 +240,8 @@ impl Dimm {
         coords: &[CellCoord; 64],
     ) -> Box<[[u8; 64]; 64]> {
         let mut data = Box::new([[0u8; 64]; 64]);
-        // Page lines stripe across banks, so sorted by coordinate they
-        // form a handful of runs of consecutive columns in one
-        // (rank, bank, row). Each run is one ordered range scan of the
-        // cell map instead of 64 independent tree descents.
-        let mut order: [(&CellCoord, usize); 64] = std::array::from_fn(|i| (&coords[i], i));
-        order.sort_unstable_by_key(|&(key, _)| key);
-        let mut g = 0;
-        while g < order.len() {
-            let (lo, _) = order[g];
-            let mut h = g + 1;
-            while h < order.len() {
-                let (k, _) = order[h];
-                if (k.0, k.1, k.2) == (lo.0, lo.1, lo.2) && k.3 == order[h - 1].0 .3 + 1 {
-                    h += 1;
-                } else {
-                    break;
-                }
-            }
-            let (hi, _) = order[h - 1];
-            for (key, cell) in self.cells.range(*lo..=*hi) {
-                data[order[g + (key.3 - lo.3)].1] = *cell;
-            }
-            g = h;
+        for (line, &coord) in data.iter_mut().zip(coords) {
+            *line = self.cell(coord);
         }
         self.buffer.on_rd_page(base, first_at, stride, &mut data);
         data
@@ -241,12 +252,19 @@ impl Dimm {
     pub fn wr_cas(&mut self, info: &CasInfo, host_data: &[u8; 64]) {
         match self.buffer.on_wr_cas(info, host_data) {
             WrResult::Commit(data) => {
-                let key = (info.loc.rank, info.bank_index, info.loc.row, info.loc.col);
-                self.cells.insert(key, data);
+                let (key, slot) = chunk_key(coord_of(info));
+                self.chunks
+                    .entry(key)
+                    .or_insert_with(|| Box::new([[0u8; 64]; CHUNK_LINES]))[slot] = data;
             }
             WrResult::Ignore => {}
         }
     }
+}
+
+/// The cell a CAS addresses.
+fn coord_of(info: &CasInfo) -> CellCoord {
+    (info.loc.rank, info.bank_index, info.loc.row, info.loc.col)
 }
 
 #[cfg(test)]
@@ -297,6 +315,105 @@ mod tests {
         dimm.wr_cas(&info(0, 0, 0, 2, 0), &[2u8; 64]);
         assert_eq!(dimm.peek(0, 0, 1, 0), [1u8; 64]);
         assert_eq!(dimm.peek(0, 0, 2, 0), [2u8; 64]);
+        // Same (rank, row, col), bank index 16 (bg 4): the next chunk.
+        dimm.wr_cas(&info(0, 4, 0, 1, 0), &[3u8; 64]);
+        // Same (bank, row, col) on rank 1.
+        dimm.wr_cas(&info(1, 0, 0, 1, 0), &[4u8; 64]);
+        assert_eq!(dimm.peek(0, 0, 1, 0), [1u8; 64]);
+        assert_eq!(dimm.peek(0, 16, 1, 0), [3u8; 64]);
+        assert_eq!(dimm.peek(1, 0, 1, 0), [4u8; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the chunk key")]
+    fn oversized_coordinates_are_rejected() {
+        Dimm::passthrough().peek(1 << 8, 0, 0, 0);
+    }
+
+    /// Rows near the top of the default topology's 2^15.
+    const ROWS: usize = 1 << 15;
+
+    /// A pass-through device that drops every write whose first byte is
+    /// a multiple of 4 (`WrResult::Ignore`).
+    struct Dropper;
+
+    impl BufferDevice for Dropper {
+        fn on_activate(&mut self, _: Cycle, _: usize, _: usize, _: usize) {}
+        fn on_precharge(&mut self, _: Cycle, _: usize, _: usize) {}
+        fn on_rd_cas(&mut self, _: &CasInfo, dram: &[u8; 64]) -> RdResult {
+            RdResult::Data(*dram)
+        }
+        fn on_wr_cas(&mut self, _: &CasInfo, host: &[u8; 64]) -> WrResult {
+            if host[0].is_multiple_of(4) {
+                WrResult::Ignore
+            } else {
+                WrResult::Commit(*host)
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn cas(coord: CellCoord) -> CasInfo {
+        let (rank, bank_index, row, col) = coord;
+        let mut i = info(rank, bank_index / 4, bank_index % 4, row, col);
+        i.bank_index = bank_index;
+        i
+    }
+
+    proptest::proptest! {
+        /// The chunk store against the per-line map it replaced: random
+        /// wr/rd/page/peek sequences over a 2-rank, 32-bank space with
+        /// rows at both ends of the bank, through a device that drops
+        /// some writes.
+        #[test]
+        fn chunk_store_matches_per_line_model(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..2, 0usize..32, 0usize..4, 0usize..3, 0u8..=255),
+                1..200,
+            ),
+        ) {
+            let mut dimm = Dimm::new(Box::new(Dropper));
+            let mut model: BTreeMap<CellCoord, [u8; 64]> = BTreeMap::new();
+            let read = |model: &BTreeMap<CellCoord, [u8; 64]>, c: &CellCoord| {
+                model.get(c).copied().unwrap_or([0u8; 64])
+            };
+            for (kind, rank, bank, row_sel, col_sel, byte) in ops {
+                let row = [0, 1, ROWS - 2, ROWS - 1][row_sel];
+                let col = [0, 1, 127][col_sel];
+                let coord = (rank, bank, row, col);
+                match kind {
+                    0 => {
+                        let mut data = [byte; 64];
+                        data[63] = bank as u8;
+                        dimm.wr_cas(&cas(coord), &data);
+                        if !byte.is_multiple_of(4) {
+                            model.insert(coord, data);
+                        }
+                    }
+                    1 => proptest::prop_assert_eq!(
+                        dimm.rd_cas(&cas(coord)),
+                        RdResult::Data(read(&model, &coord))
+                    ),
+                    2 => {
+                        // A page's worth of lines: every bank at two
+                        // columns, starting at the drawn bank.
+                        let coords: [CellCoord; 64] = std::array::from_fn(|i| {
+                            (rank, (bank + i) % 32, row, [0, 1, 127][(col_sel + i / 32) % 3])
+                        });
+                        let page = dimm.rd_page(PhysAddr(0), Cycle(0), 4, &coords);
+                        for (line, c) in page.iter().zip(&coords) {
+                            proptest::prop_assert_eq!(*line, read(&model, c));
+                        }
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        dimm.peek(rank, bank, row, col),
+                        read(&model, &coord)
+                    ),
+                }
+            }
+        }
     }
 
     /// A buffer device that substitutes data and ignores writes to row 5 —

@@ -1,6 +1,7 @@
 //! `dram` models a DDR4 memory subsystem at command granularity:
-//! address mapping, per-bank state machines with DDR4 timing, a FR-FCFS
-//! memory controller with write batching, and — the piece SmartDIMM
+//! address mapping, per-bank state machines with DDR4 timing, a memory
+//! controller that serves each request in call order (no request queue,
+//! no reordering) with periodic all-bank refresh, and — the piece SmartDIMM
 //! needs — a [`BufferDevice`] hook on every DIMM through which on-module
 //! logic observes ACT/PRE commands and *intercepts* rdCAS/wrCAS data.
 //!

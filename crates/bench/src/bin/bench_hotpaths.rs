@@ -24,6 +24,10 @@
 //! 7. `dimm_cell_store` — DIMM cell storage under CAS traffic: one
 //!    `BTreeMap` entry per 64 B line vs `dram::Dimm`'s 1 KB
 //!    bank-striped chunks.
+//! 8. `hw_deflate_page` — the Deflate DSA on one 4 KB text, HTML and
+//!    JSON page each: the token-vector reference
+//!    (`HwCompressor::compress_page_ref`) vs the fused kernel that
+//!    writes fixed-Huffman bits as it tokenizes (`compress_page`).
 //!
 //! All inputs are seeded and deterministic; only the wall-clock timings
 //! vary run to run. Modes:
@@ -56,7 +60,7 @@ use ulp_crypto::gcm::{AesGcm, Direction, OooGcm, CACHELINE};
 use ulp_crypto::gf128::Gf128;
 
 /// Rows `check` mode requires in the committed report.
-const REQUIRED_ROWS: [&str; 7] = [
+const REQUIRED_ROWS: [&str; 8] = [
     "gf128_mul",
     "aes_block",
     "ooo_gcm_4k",
@@ -64,6 +68,7 @@ const REQUIRED_ROWS: [&str; 7] = [
     "lz77_match_finder",
     "whole_sim_parallel",
     "dimm_cell_store",
+    "hw_deflate_page",
 ];
 
 fn repo_root() -> PathBuf {
@@ -414,6 +419,43 @@ fn bench_dimm_cell_store(spec: BenchSpec, write_bytes: usize, reads: usize) -> H
     }
 }
 
+fn bench_hw_deflate(spec: BenchSpec) -> HotPath {
+    use ulp_compress::corpus::Kind;
+    use ulp_compress::hwmodel::{HwCompressor, HwDeflateConfig, PageResult};
+    let pages: Vec<Vec<u8>> = [Kind::Text, Kind::Html, Kind::Json]
+        .iter()
+        .map(|k| k.generate(4096, 17))
+        .collect();
+    // One op: a fresh DSA (as every offload gets) compresses each page.
+    let op = |compress: fn(&mut HwCompressor, &[u8]) -> PageResult| {
+        let mut dsa = HwCompressor::new(HwDeflateConfig::default());
+        pages
+            .iter()
+            .map(|p| compress(&mut dsa, p).data.len())
+            .sum::<usize>()
+    };
+    for p in &pages {
+        let cfg = HwDeflateConfig::default();
+        assert_eq!(
+            HwCompressor::new(cfg).compress_page(p),
+            HwCompressor::new(cfg).compress_page_ref(p),
+            "both kernels must emit the same page"
+        );
+    }
+    HotPath {
+        name: "hw_deflate_page",
+        before_impl: "HwCompressor::compress_page_ref (Token vector, then encode_tokens)",
+        after_impl: "HwCompressor::compress_page (fused tokenizer writing fixed-Huffman bits)",
+        work_units: "one 4 KB text, HTML and JSON page each, default DSA config".to_string(),
+        before_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(op(HwCompressor::compress_page_ref));
+        }),
+        after_ns_per_op: median_ns_per_op(spec, || {
+            std::hint::black_box(op(HwCompressor::compress_page));
+        }),
+    }
+}
+
 fn main() -> ExitCode {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "full".into());
     let out_path = repo_root().join("BENCH_hotpaths.json");
@@ -487,6 +529,7 @@ fn main() -> ExitCode {
         bench_lz77(spec, lz_len),
         bench_whole_sim_parallel(spec, sweep_scale.0, sweep_scale.1),
         bench_dimm_cell_store(cells.0, cells.1, cells.2),
+        bench_hw_deflate(spec),
     ];
     let mut rows = Vec::new();
     for p in &paths {

@@ -243,14 +243,21 @@ fn find_fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text.clone())
             .unwrap_or_default();
-        // Scan to the body `{` or a `;` (trait method declaration).
+        // Scan to the body `{` or a `;` (trait method declaration). A `;`
+        // nested in `[]` or `()` belongs to an array type (`[u8; 64]`),
+        // not to the item.
         let mut j = i + 1;
         let mut body = None;
+        let mut nest = 0i32;
         while j < toks.len() {
-            if toks[j].is_punct(';') {
+            let t = &toks[j];
+            if t.is_punct('[') || t.is_punct('(') {
+                nest += 1;
+            } else if t.is_punct(']') || t.is_punct(')') {
+                nest -= 1;
+            } else if nest <= 0 && t.is_punct(';') {
                 break;
-            }
-            if toks[j].is_punct('{') {
+            } else if nest <= 0 && t.is_punct('{') {
                 body = Some(j);
                 break;
             }

@@ -680,6 +680,29 @@ mod tests {
     }
 
     #[test]
+    fn panic_reach_enters_fns_with_array_types_in_the_signature() {
+        // The `;` inside `[u8; 64]` must not end the signature: the root
+        // is still a graph node and its callee's unwrap is reachable.
+        let d = ws_diags(
+            &[
+                (
+                    "crates/smartdimm/src/dsa.rs",
+                    "fn f(x: &[u8; 64]) -> [u8; 16] { helper_stage(x) }",
+                ),
+                (
+                    "crates/ulp/src/lib.rs",
+                    "pub fn helper_stage(x: &[u8; 64]) -> [u8; 16] {\n    x.unwrap()\n}",
+                ),
+            ],
+            None,
+        );
+        let pr: Vec<_> = d.iter().filter(|d| d.rule == "PANIC-REACH").collect();
+        assert_eq!(pr.len(), 1, "{d:?}");
+        assert_eq!(pr[0].line, 2);
+        assert!(pr[0].message.contains("smartdimm::dsa::f"));
+    }
+
+    #[test]
     fn shard_iso_flags_host_ident_in_shard() {
         let d = ws_diags(
             &[(

@@ -19,6 +19,22 @@
 //! multiplier as soon as the registration lands (see
 //! `ulp_crypto::ghash::OooGhash`).
 
+/// Copies the `N` bytes at `at` out of a 64-byte MMIO view. Every field
+/// lies inside the view, so no conversion can fail; bytes past the end
+/// (none, for the layouts below) would read as zero.
+fn field<const N: usize>(b: &[u8; 64], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (o, &v) in out.iter_mut().zip(b.iter().skip(at)) {
+        *o = v;
+    }
+    out
+}
+
+/// The little-endian `u64` at byte `at` of a 64-byte MMIO view.
+fn le64(b: &[u8; 64], at: usize) -> u64 {
+    u64::from_le_bytes(field(b, at))
+}
+
 /// Read-only status register offset.
 pub const STATUS_OFFSET: u64 = 0x000;
 /// Registration descriptor write offset.
@@ -107,8 +123,8 @@ impl ResultSlot {
     pub fn from_bytes(b: &[u8; 64]) -> ResultSlot {
         ResultSlot {
             status: OffloadStatus::from_byte(b[0]),
-            out_len: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            tag: b[16..32].try_into().expect("16 bytes"),
+            out_len: le64(b, 8),
+            tag: field(b, 16),
         }
     }
 }
@@ -140,10 +156,10 @@ impl Registration {
     /// Parses the 64-byte MMIO payload.
     pub fn from_bytes(b: &[u8; 64]) -> Registration {
         Registration {
-            offload_id: u64::from_le_bytes(b[0..8].try_into().expect("8 bytes")),
-            src_page_addr: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            dst_page_addr: u64::from_le_bytes(b[16..24].try_into().expect("8 bytes")),
-            msg_offset: u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")),
+            offload_id: le64(b, 0),
+            src_page_addr: le64(b, 8),
+            dst_page_addr: le64(b, 16),
+            msg_offset: le64(b, 24),
         }
     }
 }
@@ -169,8 +185,8 @@ impl ContextChunk {
     /// Parses the 64-byte MMIO payload.
     pub fn from_bytes(b: &[u8; 64]) -> ContextChunk {
         ContextChunk {
-            offload_id: u64::from_le_bytes(b[0..8].try_into().expect("8 bytes")),
-            payload: b[16..64].try_into().expect("48 bytes"),
+            offload_id: le64(b, 0),
+            payload: field(b, 16),
         }
     }
 }
@@ -201,11 +217,11 @@ pub fn pack_pending(records: &[PendingRecord]) -> [u8; 64] {
 pub fn unpack_pending(b: &[u8; 64]) -> Vec<PendingRecord> {
     let mut out = Vec::new();
     for i in 0..4 {
-        let addr = u64::from_le_bytes(b[i * 16..i * 16 + 8].try_into().expect("8 bytes"));
+        let addr = le64(b, i * 16);
         if addr == 0 {
             break;
         }
-        let bitmap = u64::from_le_bytes(b[i * 16 + 8..i * 16 + 16].try_into().expect("8 bytes"));
+        let bitmap = le64(b, i * 16 + 8);
         out.push(PendingRecord {
             dst_page_addr: addr,
             valid_bitmap: bitmap,
@@ -241,10 +257,10 @@ impl StatusReg {
     /// Parses the 64-byte MMIO view.
     pub fn from_bytes(b: &[u8; 64]) -> StatusReg {
         StatusReg {
-            free_pages: u64::from_le_bytes(b[0..8].try_into().expect("8 bytes")),
-            pending_pages: u64::from_le_bytes(b[8..16].try_into().expect("8 bytes")),
-            self_recycled: u64::from_le_bytes(b[16..24].try_into().expect("8 bytes")),
-            ignored_writebacks: u64::from_le_bytes(b[24..32].try_into().expect("8 bytes")),
+            free_pages: le64(b, 0),
+            pending_pages: le64(b, 8),
+            self_recycled: le64(b, 16),
+            ignored_writebacks: le64(b, 24),
         }
     }
 }

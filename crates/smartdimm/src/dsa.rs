@@ -209,28 +209,34 @@ pub struct StreamBuf {
     msg_len: usize,
     data: Vec<u8>,
     received: Vec<bool>, // per cacheline
+    /// Lines not yet received; the page is complete at 0.
+    missing: usize,
     hw_config: HwDeflateConfig,
 }
 
 impl StreamBuf {
     fn new(msg_len: usize, hw_config: HwDeflateConfig) -> StreamBuf {
+        let lines = msg_len.div_ceil(64);
         StreamBuf {
             msg_len,
             data: vec![0u8; msg_len],
-            received: vec![false; msg_len.div_ceil(64)],
+            received: vec![false; lines],
+            missing: lines,
             hw_config,
         }
     }
 
+    /// Stores one line; returns whether it was the last one missing.
     fn absorb(&mut self, offset: usize, line: &[u8; 64]) -> bool {
         let idx = offset / 64;
         if self.received[idx] {
             return false;
         }
         self.received[idx] = true;
+        self.missing -= 1;
         let take = (self.msg_len - offset).min(64);
         self.data[offset..offset + take].copy_from_slice(&line[..take]);
-        self.received.iter().all(|&r| r)
+        self.missing == 0
     }
 }
 
@@ -401,7 +407,45 @@ impl DsaInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ulp_crypto::gcm::AesGcm;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// Any 48-byte context payload decodes to `None` or to a context
+        /// within the device's bounds, and every accepted one survives an
+        /// encode/decode round trip unchanged. The op byte, AAD length and
+        /// message length are drawn near their limits half of the time
+        /// (the length often within two pages), since arbitrary bytes
+        /// almost never pass the length check.
+        #[test]
+        fn prop_decode_context_full_is_bounded_and_round_trips(
+            raw: [u8; 48],
+            steer: bool,
+            op in 0u8..6,
+            aad_len in 0u8..10,
+            msg_len in prop_oneof![0u64..2 * PAGE as u64, 0u64..2 * MAX_MSG_BYTES as u64],
+        ) {
+            let mut p = raw;
+            if steer {
+                p[0] = op;
+                p[1] = aad_len;
+                p[9..17].copy_from_slice(&msg_len.to_le_bytes());
+            }
+            if let Some((op, len, aad, absorb, dma)) = OffloadOp::decode_context_full(&p) {
+                prop_assert!(aad.len() <= 7);
+                prop_assert!(len <= MAX_MSG_BYTES);
+                if !op.size_preserving() {
+                    prop_assert!(len <= PAGE, "(de)compression above one page: {len}");
+                }
+                let again = op.encode_context_full(len, &aad, absorb, dma);
+                prop_assert_eq!(
+                    OffloadOp::decode_context_full(&again),
+                    Some((op, len, aad, absorb, dma))
+                );
+            }
+        }
+    }
 
     #[test]
     fn context_round_trip_tls() {

@@ -7,6 +7,10 @@ use crate::DecodeError;
 
 /// Accumulates bits LSB-first into a byte vector.
 ///
+/// Bits collect in a 64-bit accumulator that is flushed four bytes at a
+/// time, so a write costs one shift-or and, at most every 32 bits, one
+/// 4-byte append.
+///
 /// # Example
 ///
 /// ```
@@ -20,6 +24,7 @@ use crate::DecodeError;
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
     out: Vec<u8>,
+    /// Pending bits, LSB first; fewer than 32 between calls.
     acc: u64,
     nbits: u32,
 }
@@ -30,20 +35,29 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// Creates an empty writer with room for `bytes` output bytes.
+    pub fn with_capacity(bytes: usize) -> BitWriter {
+        BitWriter {
+            out: Vec::with_capacity(bytes),
+            ..BitWriter::default()
+        }
+    }
+
     /// Writes the low `n` bits of `value`, LSB-first.
     ///
     /// # Panics
     ///
     /// Panics if `n > 32`.
+    #[inline]
     pub fn write_bits(&mut self, value: u32, n: u32) {
         assert!(n <= 32, "at most 32 bits per call");
         debug_assert!(n == 32 || value < (1 << n), "value wider than n bits");
         self.acc |= (value as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.nbits -= 32;
         }
     }
 
@@ -56,9 +70,16 @@ impl BitWriter {
 
     /// Pads to a byte boundary with zero bits (used before stored blocks).
     pub fn align_byte(&mut self) {
-        if self.nbits > 0 {
-            let pad = 8 - self.nbits;
-            self.write_bits(0, pad);
+        let pad = (8 - self.nbits % 8) % 8;
+        self.write_bits(0, pad);
+    }
+
+    /// Moves the whole pending bytes of the accumulator to the output.
+    fn flush_bytes(&mut self) {
+        while self.nbits >= 8 {
+            self.out.push(self.acc as u8);
+            self.acc >>= 8;
+            self.nbits -= 8;
         }
     }
 
@@ -68,6 +89,7 @@ impl BitWriter {
     ///
     /// Panics if the writer is not at a byte boundary.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.flush_bytes();
         assert_eq!(self.nbits, 0, "write_bytes requires byte alignment");
         self.out.extend_from_slice(bytes);
     }
@@ -80,6 +102,7 @@ impl BitWriter {
     /// Flushes any partial byte (zero-padded) and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_byte();
+        self.flush_bytes();
         self.out
     }
 }
@@ -279,6 +302,34 @@ mod tests {
     }
 
     proptest! {
+        /// The word-flushing writer packs exactly the bits a one-bit-at-a-
+        /// time packer does, across aligned raw-byte writes too.
+        #[test]
+        fn prop_writer_matches_bitwise_packing(
+            ops in proptest::collection::vec((0u8..4, any::<u32>(), 0u32..=32), 0..80),
+        ) {
+            let mut w = BitWriter::new();
+            let mut bits: Vec<bool> = Vec::new();
+            for (op, v, n) in ops {
+                if op == 3 {
+                    w.align_byte();
+                    w.write_bytes(&[v as u8]);
+                    bits.resize(bits.len().div_ceil(8) * 8, false);
+                    bits.extend((0..8).map(|i| (v >> i) & 1 == 1));
+                } else {
+                    let v = if n == 32 { v } else { v & ((1 << n) - 1) };
+                    w.write_bits(v, n);
+                    bits.extend((0..n).map(|i| (v >> i) & 1 == 1));
+                }
+            }
+            prop_assert_eq!(w.bit_len(), bits.len());
+            let want: Vec<u8> = bits
+                .chunks(8)
+                .map(|c| c.iter().rev().fold(0u8, |acc, &b| acc << 1 | b as u8))
+                .collect();
+            prop_assert_eq!(w.finish(), want);
+        }
+
         #[test]
         fn prop_round_trip_bit_sequences(fields in proptest::collection::vec((0u32..=0xFFFF, 1u32..=16), 0..64)) {
             let mut w = BitWriter::new();

@@ -3,12 +3,14 @@
 //!
 //! [`compress`] is the software baseline — what "the CPU running zlib"
 //! does in the paper's `CPU` configuration. The hardware-model compressor
-//! in [`crate::hwmodel`] reuses [`encode_tokens`] with
-//! [`Strategy::Fixed`], matching the deterministic-latency hardware
-//! design choice of §V-B.
+//! in [`crate::hwmodel`] emits fixed-Huffman blocks only, matching the
+//! deterministic-latency hardware design choice of §V-B: its kernel
+//! writes each token through the same fixed-code writers
+//! [`Strategy::Fixed`] uses, and its reference lowers a token vector
+//! with [`encode_tokens`].
 
 use crate::bitio::BitWriter;
-use crate::huffman::{build_lengths, fixed_distance_lengths, fixed_literal_lengths, CanonicalCode};
+use crate::huffman::{build_lengths, CanonicalCode, FIXED_DIST_CODES, FIXED_LIT_CODES};
 use crate::lz77::{self, distance_to_symbol, length_to_symbol, MatcherConfig, Token};
 
 /// Which Deflate block type to emit.
@@ -54,11 +56,7 @@ pub fn compress_with(data: &[u8], config: MatcherConfig, strategy: Strategy) -> 
 /// the stored-block path.
 pub fn encode_tokens(tokens: &[Token], original: &[u8], strategy: Strategy) -> Vec<u8> {
     match strategy {
-        Strategy::Stored => {
-            let mut w = BitWriter::new();
-            write_stored(&mut w, original);
-            w.finish()
-        }
+        Strategy::Stored => stored_stream(original),
         Strategy::Fixed => {
             let mut w = BitWriter::new();
             write_fixed_block(&mut w, tokens, true);
@@ -89,6 +87,13 @@ pub fn encode_tokens(tokens: &[Token], original: &[u8], strategy: Strategy) -> V
             best
         }
     }
+}
+
+/// A complete stream of stored blocks holding `data` verbatim.
+pub(crate) fn stored_stream(data: &[u8]) -> Vec<u8> {
+    let mut w = BitWriter::with_capacity(data.len() + 5);
+    write_stored(&mut w, data);
+    w.finish()
 }
 
 /// Writes one or more stored blocks covering `data` (stored blocks are
@@ -139,19 +144,56 @@ fn write_token_stream(
             }
         }
     }
-    // End-of-block symbol.
-    let (c, l) = lit_code.code(256);
+    let (c, l) = lit_code.code(END_OF_BLOCK);
     w.write_huffman(c, l);
+}
+
+/// Writes the header of a fixed-Huffman block.
+#[inline]
+pub(crate) fn write_fixed_header(w: &mut BitWriter, is_final: bool) {
+    w.write_bits(is_final as u32, 1);
+    w.write_bits(0b01, 2);
+}
+
+/// Writes one literal (or, for 256, the end-of-block symbol) with the
+/// fixed literal/length code.
+#[inline]
+pub(crate) fn write_fixed_symbol(w: &mut BitWriter, symbol: usize) {
+    let (code, len) = FIXED_LIT_CODES[symbol];
+    w.write_bits(code as u32, len as u32);
+}
+
+/// Writes one match with the fixed codes: length code, its extra bits,
+/// distance code and its extra bits, packed into a single write of at
+/// most 31 bits (8 + 5 for the length, 5 + 13 for the distance).
+#[inline]
+pub(crate) fn write_fixed_match(w: &mut BitWriter, length: u16, distance: u16) {
+    let (sym, extra, val) = length_to_symbol(length);
+    let (code, len) = FIXED_LIT_CODES[sym as usize];
+    let (dsym, dextra, dval) = distance_to_symbol(distance);
+    let (dcode, dlen) = FIXED_DIST_CODES[dsym as usize];
+    let len_bits = len as u32 + extra as u32;
+    let bits = code as u32
+        | (val as u32) << len
+        | (dcode as u32) << len_bits
+        | (dval as u32) << (len_bits + dlen as u32);
+    w.write_bits(bits, len_bits + dlen as u32 + dextra as u32);
 }
 
 /// Writes a fixed-Huffman block.
 pub(crate) fn write_fixed_block(w: &mut BitWriter, tokens: &[Token], is_final: bool) {
-    w.write_bits(is_final as u32, 1);
-    w.write_bits(0b01, 2);
-    let lit = CanonicalCode::from_lengths(&fixed_literal_lengths()).expect("fixed literal code");
-    let dist = CanonicalCode::from_lengths(&fixed_distance_lengths()).expect("fixed distance code");
-    write_token_stream(w, tokens, &lit, &dist);
+    write_fixed_header(w, is_final);
+    for &t in tokens {
+        match t {
+            Token::Literal(b) => write_fixed_symbol(w, b as usize),
+            Token::Match { length, distance } => write_fixed_match(w, length, distance),
+        }
+    }
+    write_fixed_symbol(w, END_OF_BLOCK);
 }
+
+/// The end-of-block symbol of the literal/length alphabet.
+pub(crate) const END_OF_BLOCK: usize = 256;
 
 /// Order in which code-length-code lengths are transmitted (RFC 1951).
 const CLC_ORDER: [usize; 19] = [

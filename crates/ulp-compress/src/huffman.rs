@@ -291,6 +291,38 @@ pub fn build_lengths(freqs: &[u64], max_len: usize) -> Vec<u8> {
     lengths
 }
 
+/// The fixed literal/length code (RFC 1951 §3.2.6) in emission form:
+/// per symbol, `(code bit-reversed for LSB-first packing, length)`.
+/// Built at compile time from the RFC's closed form; a test pins it to
+/// the canonical construction over [`fixed_literal_lengths`].
+pub(crate) const FIXED_LIT_CODES: [(u16, u8); 288] = {
+    let mut t = [(0u16, 0u8); 288];
+    let mut s = 0;
+    while s < 288 {
+        let (code, len) = match s {
+            0..=143 => (0x30 + s, 8),
+            144..=255 => (0x190 + s - 144, 9),
+            256..=279 => (s - 256, 7),
+            _ => (0xC0 + s - 280, 8),
+        };
+        t[s] = ((code as u16).reverse_bits() >> (16 - len), len as u8);
+        s += 1;
+    }
+    t
+};
+
+/// The fixed distance code in emission form: symbol `s` is `s` in five
+/// bits, bit-reversed.
+pub(crate) const FIXED_DIST_CODES: [(u16, u8); 30] = {
+    let mut t = [(0u16, 0u8); 30];
+    let mut s = 0;
+    while s < 30 {
+        t[s] = ((s as u16).reverse_bits() >> 11, 5);
+        s += 1;
+    }
+    t
+};
+
 /// The fixed literal/length code lengths (RFC 1951 §3.2.6).
 pub fn fixed_literal_lengths() -> Vec<u8> {
     let mut lens = vec![0u8; 288];
@@ -386,6 +418,19 @@ mod tests {
         assert_eq!(code.code(280), (0b1100_0000, 8));
         assert!(Decoder::from_lengths(&lit).is_some());
         assert!(Decoder::from_lengths(&fixed_distance_lengths()).is_some());
+    }
+
+    #[test]
+    fn fixed_emission_tables_match_the_canonical_codes() {
+        let reversed = |(c, l): (u32, u32)| ((c.reverse_bits() >> (32 - l)) as u16, l as u8);
+        let lit = CanonicalCode::from_lengths(&fixed_literal_lengths()).unwrap();
+        for (s, &e) in FIXED_LIT_CODES.iter().enumerate() {
+            assert_eq!(e, reversed(lit.code(s)), "literal/length symbol {s}");
+        }
+        let dist = CanonicalCode::from_lengths(&fixed_distance_lengths()).unwrap();
+        for (s, &e) in FIXED_DIST_CODES.iter().enumerate() {
+            assert_eq!(e, reversed(dist.code(s)), "distance symbol {s}");
+        }
     }
 
     #[test]

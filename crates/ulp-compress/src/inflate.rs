@@ -255,4 +255,39 @@ mod tests {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+        /// Valid streams from the Deflate DSA and from software deflate,
+        /// corrupted by bit flips, truncation and byte overwrites, must
+        /// decode to `Ok` or a typed `Err`, never panic.
+        #[test]
+        fn prop_corrupted_streams_never_panic(
+            len in 1usize..=4096,
+            kind in 0usize..5,
+            seed: u64,
+            from_dsa: bool,
+            edits in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..6),
+        ) {
+            let page = crate::corpus::Kind::ALL[kind].generate(len, seed);
+            let mut stream = if from_dsa {
+                crate::hwmodel::HwCompressor::new(Default::default()).compress_page(&page).data
+            } else {
+                compress(&page)
+            };
+            for (op, at, byte) in edits {
+                if stream.is_empty() {
+                    break;
+                }
+                let i = at as usize % stream.len();
+                match op {
+                    0 => stream[i] ^= 1 << (byte % 8),
+                    1 => stream.truncate(i),
+                    _ => stream[i] = byte,
+                }
+            }
+            let _ = decompress(&stream);
+            let _ = crate::hwmodel::decompress_page(&stream);
+        }
+    }
 }

@@ -94,6 +94,24 @@ pub const DIST_TABLE: [(u16, u8); 30] = [
     (24577, 13),
 ];
 
+/// `LENGTH_TABLE` index of every match length (entries below
+/// [`MIN_MATCH`] are unused), resolved at compile time so the encoder
+/// maps a length with one load instead of a table scan.
+const LENGTH_INDEX: [u8; MAX_MATCH + 1] = {
+    let mut idx = [0u8; MAX_MATCH + 1];
+    let mut sym = 0;
+    let mut len = MIN_MATCH;
+    while len <= MAX_MATCH {
+        // The last entry whose base is <= len; 258 has its own symbol.
+        while sym + 1 < LENGTH_TABLE.len() && LENGTH_TABLE[sym + 1].0 as usize <= len {
+            sym += 1;
+        }
+        idx[len] = sym as u8;
+        len += 1;
+    }
+    idx
+};
+
 /// Maps a match length (3..=258) to `(symbol, extra_bits, extra_value)`.
 ///
 /// # Panics
@@ -104,17 +122,16 @@ pub fn length_to_symbol(length: u16) -> (u16, u8, u16) {
         (MIN_MATCH..=MAX_MATCH).contains(&(length as usize)),
         "match length out of range: {length}"
     );
-    // Find the last entry whose base <= length.
-    let idx = LENGTH_TABLE
-        .iter()
-        .rposition(|&(base, _)| base <= length)
-        .expect("length table covers 3..=258");
-    // Length 258 must use symbol 285 (the dedicated zero-extra code).
+    let idx = LENGTH_INDEX[length as usize] as usize;
     let (base, extra) = LENGTH_TABLE[idx];
     (257 + idx as u16, extra, length - base)
 }
 
 /// Maps a distance (1..=32768) to `(symbol, extra_bits, extra_value)`.
+///
+/// Distance symbols come in pairs per power of two: above the first
+/// four, `distance - 1` has its top bit at position `nb`, selecting
+/// symbols `2·nb` and `2·nb + 1` by the bit below it.
 ///
 /// # Panics
 ///
@@ -124,10 +141,13 @@ pub fn distance_to_symbol(distance: u16) -> (u16, u8, u16) {
         (1..=MAX_DISTANCE as u32).contains(&(distance as u32)),
         "distance out of range: {distance}"
     );
-    let idx = DIST_TABLE
-        .iter()
-        .rposition(|&(base, _)| base <= distance)
-        .expect("distance table covers 1..=32768");
+    let x = distance as u32 - 1;
+    let idx = if x < 4 {
+        x
+    } else {
+        let nb = 31 - x.leading_zeros();
+        2 * nb + ((x >> (nb - 1)) & 1)
+    } as usize;
     let (base, extra) = DIST_TABLE[idx];
     (idx as u16, extra, distance - base)
 }
@@ -193,9 +213,7 @@ const HASH_SIZE: usize = 1 << HASH_BITS;
 fn match_len(data: &[u8], cand: usize, pos: usize, max_len: usize) -> usize {
     let mut l = 0;
     while l + 8 <= max_len {
-        let a = u64::from_le_bytes(data[cand + l..cand + l + 8].try_into().unwrap());
-        let b = u64::from_le_bytes(data[pos + l..pos + l + 8].try_into().unwrap());
-        let diff = a ^ b;
+        let diff = load8(data, cand + l) ^ load8(data, pos + l);
         if diff != 0 {
             return l + (diff.trailing_zeros() >> 3) as usize;
         }
@@ -205,6 +223,14 @@ fn match_len(data: &[u8], cand: usize, pos: usize, max_len: usize) -> usize {
         l += 1;
     }
     l
+}
+
+/// The eight bytes at `at` as a little-endian word.
+#[inline]
+pub(crate) fn load8(data: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&data[at..at + 8]);
+    u64::from_le_bytes(w)
 }
 
 fn hash3(data: &[u8], pos: usize) -> usize {
@@ -429,6 +455,29 @@ mod tests {
             assert!(val < (1 << extra) || extra == 0 && val == 0, "dist {dist}");
             let (base, _) = DIST_TABLE[sym as usize];
             assert_eq!(base as usize + val as usize, dist);
+        }
+    }
+
+    #[test]
+    fn symbol_maps_agree_with_the_table_scan() {
+        // The definition the O(1) maps replace: the last table entry
+        // whose base is <= the value.
+        let scan = |table: &[(u16, u8)], v: u16| table.iter().rposition(|&(b, _)| b <= v);
+        for len in MIN_MATCH..=MAX_MATCH {
+            let sym = length_to_symbol(len as u16).0 - 257;
+            assert_eq!(
+                Some(sym as usize),
+                scan(&LENGTH_TABLE, len as u16),
+                "len {len}"
+            );
+        }
+        for dist in 1..=MAX_DISTANCE {
+            let sym = distance_to_symbol(dist as u16).0;
+            assert_eq!(
+                Some(sym as usize),
+                scan(&DIST_TABLE, dist as u16),
+                "dist {dist}"
+            );
         }
     }
 

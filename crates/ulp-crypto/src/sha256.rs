@@ -74,15 +74,17 @@ impl Sha256 {
             rest = &rest[take..];
             if self.buf_len == 64 {
                 let block = self.buf;
-                self.compress(&block);
+                self.compress_block(&block);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let block: [u8; 64] = rest[..64].try_into().expect("64-byte chunk");
-            self.compress(&block);
-            rest = &rest[64..];
+        let mut blocks = rest.chunks_exact(64);
+        for chunk in &mut blocks {
+            let mut block = [0u8; 64];
+            block.copy_from_slice(chunk);
+            self.compress_block(&block);
         }
+        let rest = blocks.remainder();
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
@@ -101,7 +103,7 @@ impl Sha256 {
         self.total_len = 0;
         let mut block = self.buf;
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.compress_block(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -109,10 +111,10 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    fn compress_block(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes"));
+        for (wi, b) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
